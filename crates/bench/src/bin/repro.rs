@@ -724,7 +724,8 @@ fn scale_usage() -> ! {
     eprintln!(
         "  --full-protocol runs one coherent population through the \
          cross-shard mailbox engine instead of independent per-shard \
-         simulations, and merges a `true_protocol` row into the report file"
+         simulations, and writes its `true_protocol` row into the report file, \
+         replacing an earlier one"
     );
     std::process::exit(2);
 }
@@ -854,7 +855,8 @@ fn run_scale_command(args: &[String]) {
 
 /// Runs the `--full-protocol` variant: one coherent population through the
 /// cross-shard mailbox engine. The `true_protocol` row is merged into the
-/// report file (preserving an existing classic report if one is there), and
+/// report file (replacing an earlier `true_protocol` row and preserving an
+/// existing classic report if one is there), and
 /// stdout carries only the deterministic fields for byte-comparison.
 fn run_full_protocol_command(
     cfg: &bench::scale::TrueProtocolConfig,

@@ -159,15 +159,22 @@ impl Json {
         Json::Array(Vec::new())
     }
 
-    /// Appends a key/value pair to an object.
+    /// Sets a key of an object. A new key is appended; an existing key has
+    /// its value replaced in place, keeping its position, so an object never
+    /// holds the same key twice.
     ///
     /// # Panics
     ///
     /// Panics if `self` is not an object.
     pub fn insert(&mut self, key: impl Into<String>, value: impl Into<Json>) -> &mut Json {
-        match self {
-            Json::Object(entries) => entries.push((key.into(), value.into())),
-            _ => panic!("Json::insert called on a non-object"),
+        let Json::Object(entries) = self else {
+            panic!("Json::insert called on a non-object");
+        };
+        let key = key.into();
+        let value = value.into();
+        match entries.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, slot)) => *slot = value,
+            None => entries.push((key, value)),
         }
         self
     }
@@ -754,6 +761,17 @@ mod tests {
         obj.insert("z", 1u64);
         obj.insert("a", 2u64);
         assert_eq!(obj.to_string_compact(), r#"{"z":1,"a":2}"#);
+    }
+
+    #[test]
+    fn insert_replaces_an_existing_key_in_place() {
+        let mut obj = Json::object();
+        obj.insert("row", 1u64);
+        obj.insert("other", 0u64);
+        obj.insert("row", 2u64);
+        assert_eq!(obj.as_object().map(<[_]>::len), Some(2));
+        assert_eq!(obj.get("row"), Some(&Json::from(2u64)));
+        assert_eq!(obj.to_string_compact(), r#"{"row":2,"other":0}"#);
     }
 
     #[test]

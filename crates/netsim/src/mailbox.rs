@@ -26,10 +26,13 @@
 //! argument: shards can process one epoch completely independently, then
 //! exchange sealed mailboxes, then start the next epoch.
 //!
-//! At the barrier every per-`(src, dst)` mailbox is sealed, the destination
-//! concatenates its inbound mailboxes in source-shard order, stable-sorts the
-//! merged batch by the globally unique `(time, key)` pair and bulk-heapifies
-//! it into its [`KeyedEventQueue`] via `schedule_batch`.
+//! At the barrier every per-`(src, dst)` mailbox is sealed. Then, on the
+//! worker threads, each destination concatenates its inbound mailboxes in
+//! source-shard order and hands the unsorted batch to its
+//! [`KeyedEventQueue`] via `schedule_batch`, which sorts it once by
+//! `(time, key, seq)` into its staged run lane. `seq` follows concatenation
+//! order, so the pop order is the same as for a batch pre-sorted by
+//! `(time, key)`.
 //!
 //! # Determinism
 //!
@@ -697,63 +700,78 @@ impl Shard {
     }
 }
 
-/// Delivers every sealed mailbox: per destination, inbound entries are
-/// concatenated in source-shard order (broadcast lanes only into
-/// observer-hosting shards), stable-sorted by the globally unique
-/// `(time, key)` pair and bulk-heapified via `schedule_batch`.
+/// Delivers every sealed mailbox. Each destination shard builds its own
+/// batch on the worker threads: its inbound entries concatenated in
+/// source-shard order (broadcast lanes only into observer-hosting shards),
+/// handed unsorted to `schedule_batch`, whose single `(time, key, seq)` sort
+/// is the only one the barrier pays. Sequence numbers follow concatenation
+/// order, so entries with equal `(time, key)` keep source-shard order, and no
+/// arrival is earlier than the destination's clock (latency ≥ epoch), so the
+/// queue never clamps one — the pop order is that of a pre-sorted batch.
 ///
 /// Returns `(delivered, cross_shard)` entry counts.
-fn exchange(shards: &mut [Shard]) -> (u64, u64) {
-    let mut delivered = 0u64;
-    let mut cross = 0u64;
+fn exchange(shards: &mut [Shard], threads: usize) -> (u64, u64) {
     let outs: Vec<(Vec<Vec<MailEntry>>, Vec<MailEntry>)> =
         shards.iter_mut().map(Shard::take_outbox).collect();
-    for (d, shard) in shards.iter_mut().enumerate() {
+    let mut delivered = 0u64;
+    let mut cross = 0u64;
+    let mut batch_len = vec![0usize; shards.len()];
+    for (d, shard) in shards.iter().enumerate() {
         let host_observers = !shard.observers.is_empty();
-        let mut batch: Vec<MailEntry> = Vec::new();
         for (s, (out, broadcast)) in outs.iter().enumerate() {
+            let mut len = out.get(d).map_or(0, Vec::len);
+            if host_observers {
+                len += broadcast.len();
+            }
+            batch_len[d] += len;
+            if s != d {
+                cross += len as u64;
+            }
+        }
+        delivered += batch_len[d] as u64;
+    }
+    par_shards(shards, threads, |d, shard| {
+        let host_observers = !shard.observers.is_empty();
+        let mut batch: Vec<MailEntry> = Vec::with_capacity(batch_len[d]);
+        for (out, broadcast) in &outs {
             if let Some(direct) = out.get(d) {
-                if s != d {
-                    cross += direct.len() as u64;
-                }
                 batch.extend_from_slice(direct);
             }
             if host_observers {
-                if s != d {
-                    cross += broadcast.len() as u64;
-                }
                 batch.extend_from_slice(broadcast);
             }
         }
-        delivered += batch.len() as u64;
-        batch.sort_by_key(|&(at, key, _)| (at, key));
+        debug_assert!(
+            batch.iter().all(|&(at, _, _)| at >= shard.queue.now()),
+            "a mailbox entry arrived before its destination's clock"
+        );
         shard.queue.schedule_batch(batch);
-    }
+    });
     (delivered, cross)
 }
 
-/// Runs `f` over every shard, round-robining shards across at most
-/// `threads` scoped worker threads. The assignment is static (`shard % t`),
-/// so the partition of work — and therefore the trace — is identical for
-/// every thread count; threads only change wall-clock time.
-fn par_shards<F: Fn(&mut Shard) + Sync>(shards: &mut [Shard], threads: usize, f: F) {
+/// Runs `f(index, shard)` over every shard, round-robining shards across at
+/// most `threads` scoped worker threads. The assignment is static
+/// (`shard % t`), so the partition of work — and therefore the trace — is
+/// identical for every thread count; threads only change wall-clock time.
+fn par_shards<F: Fn(usize, &mut Shard) + Sync>(shards: &mut [Shard], threads: usize, f: F) {
     let t = threads.max(1).min(shards.len().max(1));
     if t <= 1 {
-        for shard in shards.iter_mut() {
-            f(shard);
+        for (i, shard) in shards.iter_mut().enumerate() {
+            f(i, shard);
         }
         return;
     }
-    let mut buckets: Vec<Vec<&mut Shard>> = (0..t).map(|_| Vec::new()).collect();
+    let mut buckets: Vec<Vec<(usize, &mut Shard)>> = (0..t).map(|_| Vec::new()).collect();
     for (i, shard) in shards.iter_mut().enumerate() {
-        buckets[i % t].push(shard);
+        buckets[i % t].push((i, shard));
     }
     let fref = &f;
     std::thread::scope(|scope| {
         for bucket in buckets {
             scope.spawn(move || {
-                for shard in bucket {
-                    fref(shard);
+                for (i, shard) in bucket {
+                    fref(i, shard);
                 }
             });
         }
@@ -866,27 +884,38 @@ fn freeze(
         .map(|s| Vec::with_capacity(map.count(s)))
         .collect();
     for (g, spec) in specs.into_iter().enumerate() {
-        let slot = registry.register_peer(spec.peer_id);
-        let addr_id = registry.intern_addr(spec.addr);
-        let base_id = registry.intern_identify(&spec.identify);
-        let is_server = spec.identify.is_dht_server();
-        let mut current = spec.identify.clone();
-        let mut changes = Vec::with_capacity(spec.changes.len());
-        for sc in &spec.changes {
+        let crate::spec::RemotePeerSpec {
+            peer_id,
+            addr,
+            identify,
+            session,
+            behavior,
+            changes: scheduled,
+            gossip_visibility,
+            ..
+        } = spec;
+        let slot = registry.register_peer(peer_id);
+        let addr_id = registry.intern_addr(addr);
+        let base_id = registry.intern_identify(&identify);
+        let is_server = identify.is_dht_server();
+        // The spec is owned, so the chain mutates its payload without a clone.
+        let mut current = identify;
+        let mut changes = Vec::with_capacity(scheduled.len());
+        for sc in &scheduled {
             sc.change.apply(&mut current);
             let id = registry.intern_identify(&current);
             changes.push((sc.at, id, current.is_dht_server()));
         }
-        peer_ids.push(spec.peer_id);
+        peer_ids.push(peer_id);
         slots.push(slot);
         addr_ids.push(addr_id);
         base_identify.push(base_id);
         initial_server.push(is_server);
-        behaviors.push(spec.behavior.clone());
+        behaviors.push(behavior);
         runtimes[map.owner(g)].push(PeerRuntime {
             rng: SimRng::seed_from(derive_seed(seed, PEER_RNG_DOMAIN, g as u64)),
-            session: spec.session.clone(),
-            gossip_visibility: spec.gossip_visibility,
+            session,
+            gossip_visibility,
             changes,
             next_change: 0,
             is_server,
@@ -972,11 +1001,11 @@ fn run_with(
         .collect();
 
     let mut stats = MailboxStats::default();
-    par_shards(&mut shards, cfg.threads, Shard::init);
+    par_shards(&mut shards, cfg.threads, |_, shard| shard.init());
     if !reference {
         // Upfront exchange: gossip sightings drawn at init are scheduled at
         // arbitrary times, so they must be delivered before epoch 0 starts.
-        let (d, c) = exchange(&mut shards);
+        let (d, c) = exchange(&mut shards, cfg.threads);
         stats.mailbox_events += d;
         stats.cross_shard_events += c;
         let end_ms = cfg.duration.as_millis();
@@ -988,8 +1017,8 @@ fn run_with(
                 break;
             }
             let limit = SimTime::from_millis(((k + 1) * epoch_ms).min(end_ms));
-            par_shards(&mut shards, cfg.threads, |shard| shard.run_epoch(limit, false));
-            let (d, c) = exchange(&mut shards);
+            par_shards(&mut shards, cfg.threads, |_, shard| shard.run_epoch(limit, false));
+            let (d, c) = exchange(&mut shards, cfg.threads);
             stats.mailbox_events += d;
             stats.cross_shard_events += c;
             stats.epochs += 1;
@@ -997,11 +1026,11 @@ fn run_with(
         }
         // Final drain: every event at exactly `end` is already queued, so
         // both drivers process the end-time tie-break in the same key order.
-        par_shards(&mut shards, cfg.threads, |shard| shard.run_epoch(end, true));
+        par_shards(&mut shards, cfg.threads, |_, shard| shard.run_epoch(end, true));
     } else {
         shards[0].run_epoch(end, true);
     }
-    par_shards(&mut shards, cfg.threads, Shard::finish);
+    par_shards(&mut shards, cfg.threads, |_, shard| shard.finish());
 
     // Assembly: canonical observer order, canonical ground-truth order.
     let mut tables: Vec<(u32, ObserverSpec, ObservationTable)> = Vec::with_capacity(obs_total as usize);

@@ -163,11 +163,14 @@ impl IdentifyRegistry {
         Self::default()
     }
 
-    /// Creates a registry pre-sized for a population of `peers` peers.
+    /// Creates a registry pre-sized for a population of `peers` peers, each
+    /// with (at most) one distinct address.
     pub fn with_capacity(peers: usize) -> Self {
         IdentifyRegistry {
             peers: Vec::with_capacity(peers),
             peer_slots: HashMap::with_capacity(peers),
+            addrs: Vec::with_capacity(peers),
+            addr_ids: HashMap::with_capacity(peers),
             ..Self::default()
         }
     }
@@ -831,6 +834,18 @@ mod tests {
         assert_eq!(reg.identify(i1), &info("go-ipfs/0.12.0/"));
         assert_eq!(reg.identify_count(), 2);
         assert!(reg.approx_bytes() > 0);
+    }
+
+    #[test]
+    fn shared_preset_and_collected_protocol_sets_intern_to_one_id() {
+        let agent = AgentVersion::parse("go-ipfs/0.11.0/");
+        let preset = ProtocolSet::go_ipfs_dht_server();
+        let collected: ProtocolSet = preset.iter().map(|p| p.as_str().to_owned()).collect();
+        let mut reg = IdentifyRegistry::new();
+        let id = reg.intern_identify(&IdentifyInfo::new(agent.clone(), preset, Vec::new()));
+        let again = reg.intern_identify(&IdentifyInfo::new(agent, collected, Vec::new()));
+        assert_eq!(id, again);
+        assert_eq!(reg.identify_count(), 1);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! protocol), and to count role switches (peers adding/removing the kad or
 //! autonat announcement). Fig. 4 is a histogram over these identifiers.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A protocol identifier string such as `/ipfs/kad/1.0.0`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -46,6 +48,14 @@ impl From<String> for ProtocolId {
 
 impl AsRef<str> for ProtocolId {
     fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
+/// Lets sets of [`ProtocolId`]s be probed by `&str` without allocating. Sound
+/// because the derived `Eq`, `Ord` and `Hash` all delegate to the string.
+impl Borrow<str> for ProtocolId {
+    fn borrow(&self) -> &str {
         &self.0
     }
 }
@@ -103,6 +113,13 @@ pub mod well_known {
 
 /// The set of protocols a peer announces.
 ///
+/// Clones share storage: the set sits behind an [`Arc`] and is copied only
+/// when a clone is mutated (`insert`, `remove`, `extend`). The preset
+/// constructors build each profile once per process and hand out clones, so
+/// a population of millions of go-ipfs peers holds a handful of sets rather
+/// than one per peer. Equality, hashing, `Debug` and iteration order are
+/// those of the inner [`BTreeSet`].
+///
 /// # Example
 ///
 /// ```
@@ -117,7 +134,13 @@ pub mod well_known {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct ProtocolSet {
-    protocols: BTreeSet<ProtocolId>,
+    protocols: Arc<BTreeSet<ProtocolId>>,
+}
+
+/// Returns a clone of the preset set cached in `cell`, building it from
+/// `protocols` on first use.
+fn preset(cell: &'static OnceLock<ProtocolSet>, protocols: &[&str]) -> ProtocolSet {
+    cell.get_or_init(|| protocols.iter().copied().collect()).clone()
 }
 
 impl ProtocolSet {
@@ -128,21 +151,27 @@ impl ProtocolSet {
 
     /// The baseline protocols every go-ipfs client announces.
     pub fn go_ipfs_base() -> Self {
+        static SET: OnceLock<ProtocolSet> = OnceLock::new();
         use well_known::*;
-        [
-            ID, ID_PUSH, PING, BITSWAP, BITSWAP_1_0, BITSWAP_1_1, BITSWAP_1_2, MESHSUB_1_0,
-            MESHSUB_1_1, FLOODSUB, AUTONAT, RELAY_V1,
-        ]
-        .into_iter()
-        .collect()
+        preset(
+            &SET,
+            &[
+                ID, ID_PUSH, PING, BITSWAP, BITSWAP_1_0, BITSWAP_1_1, BITSWAP_1_2, MESHSUB_1_0,
+                MESHSUB_1_1, FLOODSUB, AUTONAT, RELAY_V1,
+            ],
+        )
     }
 
     /// The protocol set of a go-ipfs DHT-Server (base + kad + lan kad).
     pub fn go_ipfs_dht_server() -> Self {
-        let mut set = Self::go_ipfs_base();
-        set.insert(well_known::KAD);
-        set.insert(well_known::LAN_KAD);
-        set
+        static SET: OnceLock<ProtocolSet> = OnceLock::new();
+        SET.get_or_init(|| {
+            let mut set = Self::go_ipfs_base();
+            set.insert(well_known::KAD);
+            set.insert(well_known::LAN_KAD);
+            set
+        })
+        .clone()
     }
 
     /// The protocol set of a go-ipfs DHT-Client (base, no kad announcement).
@@ -153,30 +182,32 @@ impl ProtocolSet {
     /// The minimal protocol set of a hydra-booster head: DHT routing without
     /// Bitswap or pubsub.
     pub fn hydra_head() -> Self {
+        static SET: OnceLock<ProtocolSet> = OnceLock::new();
         use well_known::*;
-        [ID, PING, KAD].into_iter().collect()
+        preset(&SET, &[ID, PING, KAD])
     }
 
     /// The protocol set of a typical DHT crawler: identify + kad queries only.
     pub fn crawler() -> Self {
+        static SET: OnceLock<ProtocolSet> = OnceLock::new();
         use well_known::*;
-        [ID, PING, KAD].into_iter().collect()
+        preset(&SET, &[ID, PING, KAD])
     }
 
     /// The protocol set of a storm (IPStorm botnet) node: identify, kad and
     /// the storm-specific protocols, no Bitswap.
     pub fn storm_node() -> Self {
+        static SET: OnceLock<ProtocolSet> = OnceLock::new();
         use well_known::*;
-        [ID, PING, KAD, SBPTP, SFST_1, SFST_2].into_iter().collect()
+        preset(&SET, &[ID, PING, KAD, SBPTP, SFST_1, SFST_2])
     }
 
     /// The anomalous go-ipfs v0.8.0 profile reported in the paper: claims to
     /// be go-ipfs but announces `sbptp` instead of Bitswap.
     pub fn disguised_storm() -> Self {
+        static SET: OnceLock<ProtocolSet> = OnceLock::new();
         use well_known::*;
-        [ID, ID_PUSH, PING, KAD, MESHSUB_1_0, AUTONAT, RELAY_V1, SBPTP]
-            .into_iter()
-            .collect()
+        preset(&SET, &[ID, ID_PUSH, PING, KAD, MESHSUB_1_0, AUTONAT, RELAY_V1, SBPTP])
     }
 
     /// Number of announced protocols.
@@ -191,17 +222,21 @@ impl ProtocolSet {
 
     /// Adds a protocol; returns whether it was newly inserted.
     pub fn insert(&mut self, protocol: impl Into<ProtocolId>) -> bool {
-        self.protocols.insert(protocol.into())
+        let protocol = protocol.into();
+        if self.protocols.contains(&protocol) {
+            return false;
+        }
+        Arc::make_mut(&mut self.protocols).insert(protocol)
     }
 
     /// Removes a protocol; returns whether it was present.
     pub fn remove(&mut self, protocol: &str) -> bool {
-        self.protocols.remove(&ProtocolId::new(protocol))
+        self.contains(protocol) && Arc::make_mut(&mut self.protocols).remove(protocol)
     }
 
     /// Whether the given protocol is announced.
     pub fn contains(&self, protocol: &str) -> bool {
-        self.protocols.contains(&ProtocolId::new(protocol))
+        self.protocols.contains(protocol)
     }
 
     /// Whether the peer announces the IPFS Kademlia protocol, i.e. acts as a
@@ -249,21 +284,100 @@ impl ProtocolSet {
 impl<P: Into<ProtocolId>> FromIterator<P> for ProtocolSet {
     fn from_iter<I: IntoIterator<Item = P>>(iter: I) -> Self {
         ProtocolSet {
-            protocols: iter.into_iter().map(Into::into).collect(),
+            protocols: Arc::new(iter.into_iter().map(Into::into).collect()),
         }
     }
 }
 
 impl<P: Into<ProtocolId>> Extend<P> for ProtocolSet {
     fn extend<I: IntoIterator<Item = P>>(&mut self, iter: I) {
-        self.protocols.extend(iter.into_iter().map(Into::into));
+        Arc::make_mut(&mut self.protocols).extend(iter.into_iter().map(Into::into));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
 
+    fn hash_of(set: &ProtocolSet) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        set.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Every preset next to the protocol list it must hold.
+    fn presets() -> Vec<(ProtocolSet, Vec<&'static str>)> {
+        use well_known::*;
+        let base = vec![
+            ID, ID_PUSH, PING, BITSWAP, BITSWAP_1_0, BITSWAP_1_1, BITSWAP_1_2, MESHSUB_1_0,
+            MESHSUB_1_1, FLOODSUB, AUTONAT, RELAY_V1,
+        ];
+        let mut server = base.clone();
+        server.extend([KAD, LAN_KAD]);
+        vec![
+            (ProtocolSet::go_ipfs_base(), base.clone()),
+            (ProtocolSet::go_ipfs_dht_server(), server),
+            (ProtocolSet::go_ipfs_dht_client(), base),
+            (ProtocolSet::hydra_head(), vec![ID, PING, KAD]),
+            (ProtocolSet::crawler(), vec![ID, PING, KAD]),
+            (ProtocolSet::storm_node(), vec![ID, PING, KAD, SBPTP, SFST_1, SFST_2]),
+            (
+                ProtocolSet::disguised_storm(),
+                vec![ID, ID_PUSH, PING, KAD, MESHSUB_1_0, AUTONAT, RELAY_V1, SBPTP],
+            ),
+        ]
+    }
+
+    #[test]
+    fn mutating_a_preset_clone_leaves_the_preset_unchanged() {
+        for (preset, _) in presets() {
+            let mut grown = preset.clone();
+            assert!(grown.insert("/x/added/1.0.0"));
+            assert!(grown.contains("/x/added/1.0.0"));
+            let mut shrunk = preset.clone();
+            let first = preset.iter().next().expect("presets are non-empty").clone();
+            assert!(shrunk.remove(first.as_str()));
+            let mut extended = preset.clone();
+            extended.extend(["/x/extended/1.0.0"]);
+
+            assert!(!preset.contains("/x/added/1.0.0"));
+            assert!(preset.contains(first.as_str()));
+            assert_eq!(grown.len(), preset.len() + 1);
+            assert_eq!(shrunk.len(), preset.len() - 1);
+            assert_eq!(extended.len(), preset.len() + 1);
+        }
+        // Later preset calls still hand out the unmodified profiles.
+        for (preset, protocols) in presets() {
+            assert_eq!(preset.len(), protocols.len());
+            assert!(protocols.iter().all(|p| preset.contains(p)));
+        }
+    }
+
+    #[test]
+    fn presets_equal_and_hash_like_collected_sets() {
+        for (preset, protocols) in presets() {
+            let collected: ProtocolSet = protocols.iter().copied().collect();
+            assert_eq!(preset, collected);
+            assert_eq!(hash_of(&preset), hash_of(&collected));
+            assert_eq!(format!("{preset:?}"), format!("{collected:?}"));
+            assert!(preset.iter().eq(collected.iter()));
+        }
+    }
+
+    #[test]
+    fn absent_protocols_are_neither_contained_nor_removed() {
+        for (preset, _) in presets() {
+            let mut set = preset.clone();
+            assert!(!set.contains("/not/announced/1.0.0"));
+            assert!(!set.remove("/not/announced/1.0.0"));
+            assert_eq!(set, preset);
+        }
+        let mut empty = ProtocolSet::new();
+        assert!(!empty.contains(well_known::KAD));
+        assert!(!empty.remove(well_known::KAD));
+    }
 
     #[test]
     fn go_ipfs_profiles_have_expected_roles() {

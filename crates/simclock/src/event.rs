@@ -590,6 +590,38 @@ mod tests {
     }
 
     #[test]
+    fn keyed_unsorted_batch_pops_like_a_stable_sorted_one() {
+        // The mailbox exchange hands `schedule_batch` its concatenated,
+        // unsorted batch; the pop order must equal that of the same batch
+        // stable-sorted by (at, key) first, ties included. Sizes straddle the
+        // 8-entry heap cutoff, and the queue already holds a heap entry and a
+        // partially drained run, as it does at an epoch barrier.
+        let mut rng = crate::rng::SimRng::seed_from(0x5eed_ba7c);
+        for len in [0usize, 1, 2, 5, 8, 9, 16, 100, 1000] {
+            for _ in 0..8 {
+                let batch: Vec<(SimTime, u64, u32)> = (0..len as u32)
+                    .map(|i| {
+                        let at = SimTime::from_secs(20 + rng.uniform_u64(0, 4));
+                        (at, rng.uniform_u64(0, 3), i)
+                    })
+                    .collect();
+                let mut sorted = batch.clone();
+                sorted.sort_by_key(|&(at, key, _)| (at, key));
+                let queues = [batch, sorted].map(|entries| {
+                    let mut q = KeyedEventQueue::new();
+                    let resident = (0..10u32).map(|i| (SimTime::from_secs(i as u64 * 3), 1, 900 + i));
+                    q.schedule_batch(resident);
+                    q.schedule(SimTime::from_secs(21), 1, 999);
+                    assert!(q.pop_before(SimTime::from_secs(10)).is_some());
+                    q.schedule_batch(entries);
+                    std::iter::from_fn(|| q.pop()).collect::<Vec<_>>()
+                });
+                assert_eq!(queues[0], queues[1], "batch of {len} popped out of order");
+            }
+        }
+    }
+
+    #[test]
     fn interleaved_schedule_and_pop_remains_ordered() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(10), 10);

@@ -115,3 +115,13 @@ fn trace_is_invariant_across_shard_counts() {
         assert_byte_identical(&reference, &run, &format!("P1 shards={shards}"));
     }
 }
+
+/// The configuration the repository benchmark runs: 16 shards on 2 worker
+/// threads, so every thread builds eight destinations' barrier batches.
+#[test]
+fn sixteen_shards_on_two_threads_match_reference() {
+    let reference = reference(MeasurementPeriod::P1);
+    let run = sharded(MeasurementPeriod::P1, 16, 2);
+    assert!(run.stats.cross_shard_events > 0, "P1 shards=16: no cross-shard traffic");
+    assert_byte_identical(&reference, &run, "P1 shards=16 threads=2");
+}
