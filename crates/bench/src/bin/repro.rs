@@ -122,9 +122,17 @@
 //! cargo run --release -p bench --bin repro -- serve --bench --tenants 1000
 //! ```
 //!
-//! Sweep, scenario, vantage, scale, stream, estimators, crawl, export and analyze stdout is deterministic: the same configuration
-//! produces byte-identical JSON regardless of `--threads` (timing numbers go
-//! to the `BENCH_*.json` files and stderr only).
+//! Sweep, scenario, vantage, scale, stream, estimators, crawl, export and
+//! analyze stdout is deterministic: the same configuration produces
+//! byte-identical JSON regardless of `--threads` (timing numbers go to the
+//! `BENCH_*.json` files and stderr only).
+//!
+//! Every subcommand, and the paper harness without one, parses its flags
+//! with `bench::cli`: an unknown flag, a flag without its value, an
+//! unparsable number, an unknown period or scenario label, a zero count or a
+//! scale that is not finite and positive prints the usage text and exits
+//! with code 2. A repeated flag takes its last value. IO and decode errors
+//! exit with code 1.
 //!
 //! Absolute values scale with the `--scale` factor (the paper measured the
 //! real ~48k-peer network); the *shapes* — orderings, ratios, crossovers —
@@ -136,135 +144,117 @@ use analysis::{
     fingerprint_groups, horizon_comparison, ip_grouping, max_duration_cdf, network_size_estimate,
     pid_growth, role_switches, version_changes,
 };
-use measurement::sweep::{ObserverTweak, SweepGrid, SweepRunner};
+use bench::cli::{self, PaperFlags, ServeCommand, StreamCommand, SuiteFlags};
+use bench::serve::DriveOptions;
+use measurement::sweep::SweepRunner;
 use measurement::{run_period, run_scenario_suite, run_vantage_suite, MeasurementCampaign};
-use population::{ChurnScenario, MeasurementPeriod, Scenario};
+use population::{MeasurementPeriod, Scenario};
 use simclock::{Cdf, SimDuration};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct Options {
-    scale: f64,
-    seed: u64,
-    only: Option<Vec<String>>,
-}
-
-fn parse_args() -> Options {
-    let mut options = Options {
-        scale: 0.02,
-        seed: 1975,
-        only: None,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                options.scale = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(options.scale);
-                i += 2;
-            }
-            "--seed" => {
-                options.seed = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(options.seed);
-                i += 2;
-            }
-            "--only" => {
-                options.only = args
-                    .get(i + 1)
-                    .map(|v| v.split(',').map(|s| s.trim().to_string()).collect());
-                i += 2;
-            }
-            other => {
-                eprintln!("ignoring unknown argument {other}");
-                i += 1;
-            }
-        }
-    }
-    options
-}
-
-fn wants(options: &Options, key: &str) -> bool {
-    match &options.only {
-        None => true,
-        Some(keys) => keys.iter().any(|k| k == key),
-    }
-}
+use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("sweep") {
-        run_sweep_command(&args[1..]);
-        return;
+    let rest = args.get(1..).unwrap_or_default();
+    match args.first().map(String::as_str) {
+        Some("sweep") => run_sweep_command(rest),
+        Some("scenarios") => run_scenarios_command(rest),
+        Some("vantage") => run_vantage_command(rest),
+        Some("scale") => run_scale_command(rest),
+        Some("stream") => run_stream_command(rest),
+        Some("estimators") => run_estimators_command(rest),
+        Some("crawl") => run_crawl_command(rest),
+        Some("export") => run_export_command(rest),
+        Some("analyze") => run_analyze_command(rest),
+        Some("serve") => run_serve_command(rest),
+        _ => run_paper(&flags("", cli::paper_flags(&args))),
     }
-    if args.first().map(String::as_str) == Some("scenarios") {
-        run_scenarios_command(&args[1..]);
-        return;
+}
+
+/// The parsed flags of `command`, or its usage text and exit code 2.
+fn flags<T>(command: &str, parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|error| cli::usage(command, &error))
+}
+
+/// Reports `message` on stderr and exits with code 1 (an IO or data error).
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
+}
+
+/// Writes `bytes` to `path`, exiting with code 1 when it cannot.
+fn write_file(path: &str, bytes: impl AsRef<[u8]>) {
+    if let Err(error) = std::fs::write(path, bytes) {
+        fail(format!("failed to write {path}: {error}"));
     }
-    if args.first().map(String::as_str) == Some("vantage") {
-        run_vantage_command(&args[1..]);
-        return;
+}
+
+/// Writes `json` pretty-printed, with a trailing newline, to `path`.
+fn write_json(path: &str, json: &jsonio::Json) {
+    let mut text = json.to_string_pretty();
+    text.push('\n');
+    write_file(path, text);
+}
+
+/// Writes a full report (with timing) to the report file, unless
+/// `--no-file` left none.
+fn write_report(out: Option<&str>, json: &jsonio::Json) {
+    if let Some(path) = out {
+        write_json(path, json);
+        eprintln!("# full report (with timing) written to {path}");
     }
-    if args.first().map(String::as_str) == Some("scale") {
-        run_scale_command(&args[1..]);
-        return;
+}
+
+/// Prints a report's JSON on stdout, indented under `--pretty`, after its
+/// summary table on stderr when one is wanted.
+fn emit(json: &jsonio::Json, pretty: bool, table: Option<String>) {
+    if let Some(table) = table {
+        eprintln!("\n{table}");
     }
-    if args.first().map(String::as_str) == Some("stream") {
-        run_stream_command(&args[1..]);
-        return;
+    if pretty {
+        println!("{}", json.to_string_pretty());
+    } else {
+        println!("{}", json.to_string_compact());
     }
-    if args.first().map(String::as_str) == Some("estimators") {
-        run_estimators_command(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("crawl") {
-        run_crawl_command(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("export") {
-        run_export_command(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("analyze") {
-        run_analyze_command(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        run_serve_command(&args[1..]);
-        return;
-    }
-    let options = parse_args();
+}
+
+// ---- the paper harness (no subcommand) ---------------------------------------
+
+fn run_paper(options: &PaperFlags) {
     println!("# Reproduction harness — scale {}, seed {}\n", options.scale, options.seed);
 
     let mut campaigns: HashMap<&'static str, MeasurementCampaign> = HashMap::new();
-    let mut campaign = |period: MeasurementPeriod, options: &Options| -> MeasurementCampaign {
+    let mut campaign = |period: MeasurementPeriod, options: &PaperFlags| -> MeasurementCampaign {
         campaigns
             .entry(period.label())
             .or_insert_with(|| run_period(period, options.scale, options.seed))
             .clone()
     };
 
-    if wants(&options, "table1") {
+    if options.wants("table1") {
         table1();
     }
-    if wants(&options, "table2") {
-        table2(&mut campaign, &options);
+    if options.wants("table2") {
+        table2(&mut campaign, options);
     }
-    if wants(&options, "fig2") {
-        fig2(&mut campaign, &options);
+    if options.wants("fig2") {
+        fig2(&mut campaign, options);
     }
-    if wants(&options, "fig3") || wants(&options, "fig4") || wants(&options, "table3") {
-        metadata_section(&mut campaign, &options);
+    if options.wants("fig3") || options.wants("fig4") || options.wants("table3") {
+        metadata_section(&mut campaign, options);
     }
-    if wants(&options, "fig5") {
-        fig5(&mut campaign, &options);
+    if options.wants("fig5") {
+        fig5(&mut campaign, options);
     }
-    if wants(&options, "fig6") {
-        fig6(&options);
+    if options.wants("fig6") {
+        fig6(options);
     }
-    if wants(&options, "fig7") {
-        fig7(&mut campaign, &options);
+    if options.wants("fig7") {
+        fig7(&mut campaign, options);
     }
-    if wants(&options, "table4") || wants(&options, "ipgroups") {
-        network_size(&mut campaign, &options);
+    if options.wants("table4") || options.wants("ipgroups") {
+        network_size(&mut campaign, options);
     }
 }
 
@@ -298,8 +288,8 @@ fn table1() {
 }
 
 fn table2(
-    campaign: &mut impl FnMut(MeasurementPeriod, &Options) -> MeasurementCampaign,
-    options: &Options,
+    campaign: &mut impl FnMut(MeasurementPeriod, &PaperFlags) -> MeasurementCampaign,
+    options: &PaperFlags,
 ) {
     println!("## Table II — connection statistics\n");
     let mut rows = Vec::new();
@@ -343,8 +333,8 @@ fn table2(
 }
 
 fn fig2(
-    campaign: &mut impl FnMut(MeasurementPeriod, &Options) -> MeasurementCampaign,
-    options: &Options,
+    campaign: &mut impl FnMut(MeasurementPeriod, &PaperFlags) -> MeasurementCampaign,
+    options: &PaperFlags,
 ) {
     println!("## Fig. 2 — passive vs. active measurement horizon\n");
     let mut rows = Vec::new();
@@ -379,8 +369,8 @@ fn fig2(
 }
 
 fn metadata_section(
-    campaign: &mut impl FnMut(MeasurementPeriod, &Options) -> MeasurementCampaign,
-    options: &Options,
+    campaign: &mut impl FnMut(MeasurementPeriod, &PaperFlags) -> MeasurementCampaign,
+    options: &PaperFlags,
 ) {
     let campaign = campaign(MeasurementPeriod::P4, options);
     let dataset = campaign.primary();
@@ -430,8 +420,8 @@ fn metadata_section(
 }
 
 fn fig5(
-    campaign: &mut impl FnMut(MeasurementPeriod, &Options) -> MeasurementCampaign,
-    options: &Options,
+    campaign: &mut impl FnMut(MeasurementPeriod, &PaperFlags) -> MeasurementCampaign,
+    options: &PaperFlags,
 ) {
     println!("## Fig. 5 — simultaneous connections over the first 24 h\n");
     for period in [
@@ -452,7 +442,7 @@ fn fig5(
     }
 }
 
-fn fig6(options: &Options) {
+fn fig6(options: &PaperFlags) {
     println!("## Fig. 6 — PIDs over time (14-day run)\n");
     // The 14-day run is the most expensive experiment; run it at a quarter of
     // the requested scale to keep the harness fast.
@@ -471,8 +461,8 @@ fn fig6(options: &Options) {
 }
 
 fn fig7(
-    campaign: &mut impl FnMut(MeasurementPeriod, &Options) -> MeasurementCampaign,
-    options: &Options,
+    campaign: &mut impl FnMut(MeasurementPeriod, &PaperFlags) -> MeasurementCampaign,
+    options: &PaperFlags,
 ) {
     println!("## Fig. 7 — CDFs of connection behaviour (P4)\n");
     let campaign = campaign(MeasurementPeriod::P4, options);
@@ -501,8 +491,8 @@ fn fig7(
 }
 
 fn network_size(
-    campaign: &mut impl FnMut(MeasurementPeriod, &Options) -> MeasurementCampaign,
-    options: &Options,
+    campaign: &mut impl FnMut(MeasurementPeriod, &PaperFlags) -> MeasurementCampaign,
+    options: &PaperFlags,
 ) {
     println!("## Section V — network size (P4)\n");
     let campaign = campaign(MeasurementPeriod::P4, options);
@@ -545,156 +535,18 @@ fn network_size(
 
 // ---- the `sweep` subcommand ------------------------------------------------
 
-fn sweep_usage() -> ! {
-    eprintln!(
-        "usage: repro sweep [--periods P1,P2,...] [--scales 0.01,...] \
-         [--seeds N | --seed-list 3,17,...] [--tweaks label=factor,...] \
-         [--scenarios baseline,flashcrowd,...] [--vantages 1,3,...] \
-         [--base-seed N] [--threads N] [--pretty] [--no-table]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_scenarios(spec: &str) -> Vec<ChurnScenario> {
-    spec.split(',')
-        .map(|label| {
-            ChurnScenario::from_label(label.trim()).unwrap_or_else(|| {
-                eprintln!(
-                    "unknown scenario {label:?} (expected baseline, diurnal, flashcrowd, \
-                     massexit, pidflood, natchurn, sybil, eclipse or poison)"
-                );
-                std::process::exit(2);
-            })
-        })
-        .collect()
-}
-
 fn run_sweep_command(args: &[String]) {
-    let mut periods = vec![MeasurementPeriod::P1, MeasurementPeriod::P2];
-    let mut scales = vec![0.01];
-    let mut seeds: Vec<u64> = (1..=8).collect();
-    let mut tweaks = vec![ObserverTweak::default()];
-    let mut scenarios = vec![ChurnScenario::Baseline];
-    let mut vantages = vec![1usize];
-    let mut base_seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut pretty = false;
-    let mut table = true;
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| sweep_usage())
-        };
-        match args[i].as_str() {
-            "--periods" => {
-                periods = take(i)
-                    .split(',')
-                    .map(|label| {
-                        MeasurementPeriod::from_label(label.trim()).unwrap_or_else(|| {
-                            eprintln!("unknown period {label:?} (expected P0..P4 or P14d)");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-                i += 2;
-            }
-            "--scales" => {
-                scales = take(i)
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| {
-                        eprintln!("invalid scale {s:?}");
-                        std::process::exit(2);
-                    }))
-                    .collect();
-                i += 2;
-            }
-            "--seeds" => {
-                let n: u64 = take(i).parse().unwrap_or_else(|_| sweep_usage());
-                seeds = (1..=n).collect();
-                i += 2;
-            }
-            "--seed-list" => {
-                seeds = take(i)
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| sweep_usage()))
-                    .collect();
-                i += 2;
-            }
-            "--tweaks" => {
-                tweaks = take(i)
-                    .split(',')
-                    .map(|spec| {
-                        let (label, factor) = spec.split_once('=').unwrap_or((spec, "1.0"));
-                        let factor: f64 = factor.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("invalid tweak {spec:?} (expected label=factor)");
-                            std::process::exit(2);
-                        });
-                        ObserverTweak::limits(label.trim(), factor)
-                    })
-                    .collect();
-                i += 2;
-            }
-            "--scenarios" => {
-                scenarios = parse_scenarios(take(i));
-                i += 2;
-            }
-            "--vantages" => {
-                vantages = take(i)
-                    .split(',')
-                    .map(|v| v.trim().parse().unwrap_or_else(|_| sweep_usage()))
-                    .collect();
-                i += 2;
-            }
-            "--base-seed" => {
-                base_seed = Some(take(i).parse().unwrap_or_else(|_| sweep_usage()));
-                i += 2;
-            }
-            "--threads" => {
-                threads = Some(take(i).parse().unwrap_or_else(|_| sweep_usage()));
-                i += 2;
-            }
-            "--pretty" => {
-                pretty = true;
-                i += 1;
-            }
-            "--no-table" => {
-                table = false;
-                i += 1;
-            }
-            _ => sweep_usage(),
-        }
-    }
-
-    if periods.is_empty() || scales.is_empty() || seeds.is_empty() || tweaks.is_empty()
-        || scenarios.is_empty() || vantages.is_empty()
-    {
-        sweep_usage();
-    }
-
-    let mut grid = SweepGrid::new(periods)
-        .with_scales(scales)
-        .with_seeds(seeds)
-        .with_tweaks(tweaks)
-        .with_scenarios(scenarios)
-        .with_vantages(vantages);
-    if let Some(base) = base_seed {
-        grid = grid.with_base_seed(base);
-    }
-    if let Err(problem) = grid.validate() {
-        eprintln!("invalid sweep grid: {problem}");
-        std::process::exit(2);
-    }
-    let runner = match threads {
+    let sweep = flags("sweep", cli::sweep_flags(args));
+    let runner = match sweep.threads {
         Some(n) => SweepRunner::new().with_threads(n),
         None => SweepRunner::new(),
     };
 
-    let total = grid.cell_count();
+    let total = sweep.grid.cell_count();
     eprintln!("# sweep: {total} campaigns");
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let done = AtomicUsize::new(0);
-    let report = runner.run_with_progress(&grid, |cell| {
+    let report = runner.run_with_progress(&sweep.grid, |cell| {
         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
         eprintln!(
             "[{finished}/{total}] {} {} scale {} seed {} ({}): {} conns, {} pids",
@@ -702,133 +554,27 @@ fn run_sweep_command(args: &[String]) {
         );
     });
     eprintln!("# sweep finished in {:.1?}", started.elapsed());
-    if table {
-        eprintln!("\n{}", report.summary_table());
-    }
-    if pretty {
-        println!("{}", report.to_json_string_pretty());
-    } else {
-        println!("{}", report.to_json_string());
-    }
+    emit(&report.to_json(), sweep.pretty, sweep.table.then(|| report.summary_table()));
 }
 
 // ---- the `scale` subcommand ------------------------------------------------
 
-fn scale_usage() -> ! {
-    eprintln!(
-        "usage: repro scale [--peers N] [--shards N] [--threads N] \
-         [--duration-mins M] [--seed N] [--compat-peers N] \
-         [--out BENCH_scale.json] [--no-file] \
-         [--full-protocol] [--epoch-secs S] [--tp-observers N]"
-    );
-    eprintln!(
-        "  --full-protocol runs one coherent population through the \
-         cross-shard mailbox engine instead of independent per-shard \
-         simulations, and writes its `true_protocol` row into the report file, \
-         replacing an earlier one"
-    );
-    std::process::exit(2);
-}
-
 fn run_scale_command(args: &[String]) {
-    use bench::scale::{run_scale_with_progress, ScaleConfig, TrueProtocolConfig};
+    use bench::scale::run_scale_with_progress;
 
-    let mut cfg = ScaleConfig::default();
-    let mut out_path = String::from("BENCH_scale.json");
-    let mut write_file = true;
-    let mut full_protocol = false;
-    let mut peers_given = false;
-    let mut epoch_secs: u64 = 60;
-    let mut tp_observers: usize = TrueProtocolConfig::default().observers;
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| scale_usage())
-        };
-        match args[i].as_str() {
-            "--peers" => {
-                cfg.peers = take(i).parse().unwrap_or_else(|_| scale_usage());
-                peers_given = true;
-                i += 2;
-            }
-            "--shards" => {
-                cfg.shards = take(i).parse().unwrap_or_else(|_| scale_usage());
-                i += 2;
-            }
-            "--threads" => {
-                cfg.threads = take(i).parse().unwrap_or_else(|_| scale_usage());
-                i += 2;
-            }
-            "--duration-mins" => {
-                let mins: u64 = take(i).parse().unwrap_or_else(|_| scale_usage());
-                cfg.duration = simclock::SimDuration::from_mins(mins);
-                i += 2;
-            }
-            "--seed" => {
-                cfg.seed = take(i).parse().unwrap_or_else(|_| scale_usage());
-                i += 2;
-            }
-            "--compat-peers" => {
-                cfg.compat_peers = take(i).parse().unwrap_or_else(|_| scale_usage());
-                i += 2;
-            }
-            "--out" => {
-                out_path = take(i).to_string();
-                i += 2;
-            }
-            "--no-file" => {
-                write_file = false;
-                i += 1;
-            }
-            "--full-protocol" => {
-                full_protocol = true;
-                i += 1;
-            }
-            "--epoch-secs" => {
-                epoch_secs = take(i).parse().unwrap_or_else(|_| scale_usage());
-                i += 2;
-            }
-            "--tp-observers" => {
-                tp_observers = take(i).parse().unwrap_or_else(|_| scale_usage());
-                i += 2;
-            }
-            _ => scale_usage(),
-        }
-    }
-    if cfg.peers == 0 || cfg.shards == 0 || cfg.threads == 0 || cfg.compat_peers == 0 {
-        scale_usage();
-    }
-    if full_protocol {
-        if epoch_secs == 0 || tp_observers == 0 {
-            scale_usage();
-        }
-        // The classic harness and the true-protocol campaign default to
-        // different population sizes; only an explicit --peers overrides.
-        let tp_cfg = TrueProtocolConfig {
-            peers: if peers_given {
-                cfg.peers
-            } else {
-                TrueProtocolConfig::default().peers
-            },
-            shards: cfg.shards,
-            threads: cfg.threads,
-            duration: cfg.duration,
-            epoch: simclock::SimDuration::from_secs(epoch_secs),
-            seed: cfg.seed,
-            observers: tp_observers,
-        };
-        run_full_protocol_command(&tp_cfg, &out_path, write_file);
+    let scale = flags("scale", cli::scale_flags(args));
+    if let Some(cfg) = &scale.full_protocol {
+        run_full_protocol_command(cfg, scale.out.as_deref());
         return;
     }
-
+    let cfg = &scale.config;
     eprintln!(
         "# scale: {} peers in {} shards on {} threads, {} simulated",
         cfg.peers, cfg.shards, cfg.threads, cfg.duration
     );
     let done = AtomicUsize::new(0);
     let total = cfg.shards;
-    let report = run_scale_with_progress(&cfg, |shard| {
+    let report = run_scale_with_progress(cfg, |shard| {
         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
         eprintln!(
             "[{finished}/{total}] shard {} ({} peers): {} events, checksum {:016x}",
@@ -839,15 +585,7 @@ fn run_scale_command(args: &[String]) {
         );
     });
     eprintln!("# {}", report.summary());
-    if write_file {
-        let mut text = report.full_json().to_string_pretty();
-        text.push('\n');
-        if let Err(error) = std::fs::write(&out_path, text) {
-            eprintln!("failed to write {out_path}: {error}");
-            std::process::exit(1);
-        }
-        eprintln!("# full report (with timing) written to {out_path}");
-    }
+    write_report(scale.out.as_deref(), &report.full_json());
     // stdout carries only the deterministic fields, so two runs with
     // different --threads can be compared byte-for-byte.
     println!("{}", report.deterministic_json().to_string_pretty());
@@ -858,13 +596,7 @@ fn run_scale_command(args: &[String]) {
 /// report file (replacing an earlier `true_protocol` row and preserving an
 /// existing classic report if one is there), and
 /// stdout carries only the deterministic fields for byte-comparison.
-fn run_full_protocol_command(
-    cfg: &bench::scale::TrueProtocolConfig,
-    out_path: &str,
-    write_file: bool,
-) {
-    use bench::scale::run_true_protocol;
-
+fn run_full_protocol_command(cfg: &bench::scale::TrueProtocolConfig, out: Option<&str>) {
     eprintln!(
         "# scale --full-protocol: {} peers in {} lock-step shards on {} threads, \
          {} simulated, {} epochs",
@@ -874,194 +606,52 @@ fn run_full_protocol_command(
         cfg.duration,
         cfg.duration.as_millis() / cfg.epoch.as_millis().max(1)
     );
-    let report = run_true_protocol(cfg);
+    let report = bench::scale::run_true_protocol(cfg);
     eprintln!("# {}", report.summary());
-    if write_file {
-        let mut root = std::fs::read_to_string(out_path)
+    if let Some(path) = out {
+        let mut root = std::fs::read_to_string(path)
             .ok()
             .and_then(|text| jsonio::Json::parse(&text).ok())
             .filter(|json| json.as_object().is_some())
             .unwrap_or_else(jsonio::Json::object);
         root.insert("true_protocol", report.full_json());
-        let mut text = root.to_string_pretty();
-        text.push('\n');
-        if let Err(error) = std::fs::write(out_path, text) {
-            eprintln!("failed to write {out_path}: {error}");
-            std::process::exit(1);
-        }
-        eprintln!("# true_protocol row merged into {out_path}");
+        write_json(path, &root);
+        eprintln!("# true_protocol row merged into {path}");
     }
     println!("{}", report.deterministic_json().to_string_pretty());
 }
 
 // ---- the `stream` subcommand -----------------------------------------------
 
-fn stream_usage() -> ! {
-    eprintln!(
-        "usage: repro stream [--period P4] [--scale 0.005] [--seed N] \
-         [--window-hours 6] [--vantages 1] \
-         [--scenarios baseline,diurnal,flashcrowd,massexit,pidflood,natchurn] \
-         [--threads N] [--pretty] [--no-table]\n\
-         \n\
-         long-horizon memory bench:\n\
-         repro stream --long-horizon [--horizons 1,3,7] [--bench-scale 0.0025] \
-         [--window-hours 6] [--seed N] [--out BENCH_stream.json] [--no-file]"
-    );
-    std::process::exit(2);
-}
-
 fn run_stream_command(args: &[String]) {
-    if args.iter().any(|a| a == "--long-horizon") {
-        run_stream_bench_command(args);
-        return;
-    }
-    let mut period = MeasurementPeriod::P4;
-    let mut scale: f64 = 0.005;
-    let mut seed = 1975u64;
-    let mut window_hours = 6u64;
-    let mut vantages = 1usize;
-    let mut scenarios = vec![ChurnScenario::Baseline];
-    let mut threads: Option<usize> = None;
-    let mut pretty = false;
-    let mut table = true;
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| stream_usage())
-        };
-        match args[i].as_str() {
-            "--period" => {
-                period = MeasurementPeriod::from_label(take(i)).unwrap_or_else(|| {
-                    eprintln!("unknown period {:?} (expected P0..P4 or P14d)", args[i + 1]);
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--scale" => {
-                scale = take(i).parse().unwrap_or_else(|_| stream_usage());
-                i += 2;
-            }
-            "--seed" => {
-                seed = take(i).parse().unwrap_or_else(|_| stream_usage());
-                i += 2;
-            }
-            "--window-hours" => {
-                window_hours = take(i).parse().unwrap_or_else(|_| stream_usage());
-                i += 2;
-            }
-            "--vantages" => {
-                vantages = take(i).parse().unwrap_or_else(|_| stream_usage());
-                i += 2;
-            }
-            "--scenarios" => {
-                scenarios = parse_scenarios(take(i));
-                i += 2;
-            }
-            "--threads" => {
-                threads = Some(take(i).parse().unwrap_or_else(|_| stream_usage()));
-                i += 2;
-            }
-            "--pretty" => {
-                pretty = true;
-                i += 1;
-            }
-            "--no-table" => {
-                table = false;
-                i += 1;
-            }
-            _ => stream_usage(),
+    let (suite, window, vantages) = match flags("stream", cli::stream_flags(args)) {
+        StreamCommand::Suite(suite, window, vantages) => (suite, window, vantages),
+        StreamCommand::LongHorizon(cfg, out) => {
+            return run_stream_bench_command(&cfg, out.as_deref())
         }
-    }
-    if scenarios.is_empty() || vantages == 0 || window_hours == 0 || !scale.is_finite() || scale <= 0.0 {
-        stream_usage();
-    }
-
-    let threads = threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    });
-    let window = SimDuration::from_hours(window_hours);
+    };
     eprintln!(
-        "# stream: {period} at scale {scale}, seed {seed}, {window_hours} h windows, \
-         {vantages} vantage(s), scenarios {}",
-        scenarios
-            .iter()
-            .map(|s| s.label())
-            .collect::<Vec<_>>()
-            .join(",")
+        "# stream: {} at scale {}, seed {}, {window} windows, {vantages} vantage(s), scenarios {}",
+        suite.period,
+        suite.scale,
+        suite.seed,
+        suite.labels()
     );
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let campaigns = measurement::run_stream_suite(
-        period, scale, seed, vantages, window, &scenarios, threads,
+        suite.period, suite.scale, suite.seed, vantages, window, &suite.scenarios, suite.threads,
     );
     let report = analysis::stream_report(&campaigns);
     eprintln!("# stream finished in {:.1?}", started.elapsed());
-    if table {
-        eprintln!("\n{}", report.summary_table());
-    }
-    if pretty {
-        println!("{}", report.to_json_string_pretty());
-    } else {
-        println!("{}", report.to_json_string());
-    }
+    emit(&report.to_json(), suite.pretty, suite.table.then(|| report.summary_table()));
 }
 
-fn run_stream_bench_command(args: &[String]) {
-    use bench::stream::{run_stream_bench_with_progress, StreamBenchConfig};
-
-    let mut cfg = StreamBenchConfig::default();
-    let mut out_path = String::from("BENCH_stream.json");
-    let mut write_file = true;
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| stream_usage())
-        };
-        match args[i].as_str() {
-            "--long-horizon" => {
-                i += 1;
-            }
-            "--horizons" => {
-                cfg.horizons_days = take(i)
-                    .split(',')
-                    .map(|v| v.trim().parse().unwrap_or_else(|_| stream_usage()))
-                    .collect();
-                i += 2;
-            }
-            "--bench-scale" => {
-                cfg.scale = take(i).parse().unwrap_or_else(|_| stream_usage());
-                i += 2;
-            }
-            "--window-hours" => {
-                let hours: u64 = take(i).parse().unwrap_or_else(|_| stream_usage());
-                cfg.window = SimDuration::from_hours(hours);
-                i += 2;
-            }
-            "--seed" => {
-                cfg.seed = take(i).parse().unwrap_or_else(|_| stream_usage());
-                i += 2;
-            }
-            "--out" => {
-                out_path = take(i).to_string();
-                i += 2;
-            }
-            "--no-file" => {
-                write_file = false;
-                i += 1;
-            }
-            _ => stream_usage(),
-        }
-    }
-    if cfg.horizons_days.is_empty() || cfg.window.is_zero() || !cfg.scale.is_finite() || cfg.scale <= 0.0 {
-        stream_usage();
-    }
-
+fn run_stream_bench_command(cfg: &bench::stream::StreamBenchConfig, out: Option<&str>) {
     eprintln!(
         "# stream --long-horizon: Extended at scale {}, horizons {:?} days, {} windows",
         cfg.scale, cfg.horizons_days, cfg.window
     );
-    let report = run_stream_bench_with_progress(&cfg, |horizon| {
+    let report = bench::stream::run_stream_bench_with_progress(cfg, |horizon| {
         eprintln!(
             "[{} days] {} conns, {} pids: batch {} B vs stream exact {} B ({:.1}x) / bucketed {} B",
             horizon.days,
@@ -1074,15 +664,7 @@ fn run_stream_bench_command(args: &[String]) {
         );
     });
     eprintln!("# {}", report.summary());
-    if write_file {
-        let mut text = report.full_json().to_string_pretty();
-        text.push('\n');
-        if let Err(error) = std::fs::write(&out_path, text) {
-            eprintln!("failed to write {out_path}: {error}");
-            std::process::exit(1);
-        }
-        eprintln!("# full report (with timing) written to {out_path}");
-    }
+    write_report(out, &report.full_json());
     // stdout carries only the deterministic fields, so runs at different
     // thread counts can be compared byte-for-byte.
     println!("{}", report.deterministic_json().to_string_pretty());
@@ -1090,101 +672,8 @@ fn run_stream_bench_command(args: &[String]) {
 
 // ---- the `estimators` subcommand -------------------------------------------
 
-fn estimators_usage() -> ! {
-    eprintln!(
-        "usage: repro estimators [--period P4] [--scale 0.005] [--seed N] \
-         [--vantages 3] [--replicates 5] [--bootstrap 200] [--window-hours 6] \
-         [--scenarios baseline,diurnal,flashcrowd,massexit,pidflood,natchurn] \
-         [--threads N] [--pretty] [--no-table] \
-         [--out BENCH_estimators.json] [--no-file]"
-    );
-    std::process::exit(2);
-}
-
 fn run_estimators_command(args: &[String]) {
-    use bench::estimators::{run_estimators_bench_with_progress, EstimatorsBenchConfig};
-
-    let mut cfg = EstimatorsBenchConfig::default();
-    let mut threads: Option<usize> = None;
-    let mut pretty = false;
-    let mut table = true;
-    let mut out_path = String::from("BENCH_estimators.json");
-    let mut write_file = true;
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| estimators_usage())
-        };
-        match args[i].as_str() {
-            "--period" => {
-                cfg.period = MeasurementPeriod::from_label(take(i)).unwrap_or_else(|| {
-                    eprintln!("unknown period {:?} (expected P0..P4 or P14d)", args[i + 1]);
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--scale" => {
-                cfg.scale = take(i).parse().unwrap_or_else(|_| estimators_usage());
-                i += 2;
-            }
-            "--seed" => {
-                cfg.seed = take(i).parse().unwrap_or_else(|_| estimators_usage());
-                i += 2;
-            }
-            "--vantages" => {
-                cfg.vantages = take(i).parse().unwrap_or_else(|_| estimators_usage());
-                i += 2;
-            }
-            "--replicates" => {
-                cfg.replicates = take(i).parse().unwrap_or_else(|_| estimators_usage());
-                i += 2;
-            }
-            "--bootstrap" => {
-                cfg.bootstrap = take(i).parse().unwrap_or_else(|_| estimators_usage());
-                i += 2;
-            }
-            "--window-hours" => {
-                let hours: u64 = take(i).parse().unwrap_or_else(|_| estimators_usage());
-                cfg.window = SimDuration::from_hours(hours);
-                i += 2;
-            }
-            "--scenarios" => {
-                cfg.scenarios = parse_scenarios(take(i));
-                i += 2;
-            }
-            "--threads" => {
-                threads = Some(take(i).parse().unwrap_or_else(|_| estimators_usage()));
-                i += 2;
-            }
-            "--pretty" => {
-                pretty = true;
-                i += 1;
-            }
-            "--no-table" => {
-                table = false;
-                i += 1;
-            }
-            "--out" => {
-                out_path = take(i).to_string();
-                i += 2;
-            }
-            "--no-file" => {
-                write_file = false;
-                i += 1;
-            }
-            _ => estimators_usage(),
-        }
-    }
-    if cfg.scenarios.is_empty() || cfg.vantages == 0 || cfg.replicates == 0
-        || cfg.window.is_zero() || !cfg.scale.is_finite() || cfg.scale <= 0.0
-    {
-        estimators_usage();
-    }
-
-    let threads = threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    });
+    let (suite, cfg, out) = flags("estimators", cli::estimators_flags(args));
     eprintln!(
         "# estimators: {} replicates x {} vantage(s) on {} at scale {}, seed {}, \
          {} bootstrap resamples, scenarios {}",
@@ -1194,241 +683,62 @@ fn run_estimators_command(args: &[String]) {
         cfg.scale,
         cfg.seed,
         cfg.bootstrap,
-        cfg.scenarios
-            .iter()
-            .map(|s| s.label())
-            .collect::<Vec<_>>()
-            .join(",")
+        suite.labels()
     );
-    let started = std::time::Instant::now();
-    let report = run_estimators_bench_with_progress(&cfg, threads, |stage| {
-        eprintln!("# {stage}");
+    let started = Instant::now();
+    let report = bench::estimators::run_estimators_bench_with_progress(&cfg, suite.threads, |s| {
+        eprintln!("# {s}");
     });
     eprintln!("# estimators finished in {:.1?}", started.elapsed());
     eprintln!("# {}", report.summary());
-    if table {
-        eprintln!("\n{}", report.report.summary_table());
-    }
-    if write_file {
-        let mut text = report.full_json().to_string_pretty();
-        text.push('\n');
-        if let Err(error) = std::fs::write(&out_path, text) {
-            eprintln!("failed to write {out_path}: {error}");
-            std::process::exit(1);
-        }
-        eprintln!("# full report (with timing) written to {out_path}");
-    }
+    write_report(out.as_deref(), &report.full_json());
     // stdout carries only the deterministic fields, so runs at different
     // thread counts can be compared byte-for-byte.
-    if pretty {
-        println!("{}", report.deterministic_json().to_string_pretty());
-    } else {
-        println!("{}", report.deterministic_json().to_string_compact());
-    }
+    let table = suite.table.then(|| report.report.summary_table());
+    emit(&report.deterministic_json(), suite.pretty, table);
 }
 
 // ---- the `crawl` subcommand ------------------------------------------------
 
-fn crawl_usage() -> ! {
-    eprintln!(
-        "usage: repro crawl [--period P4] [--scale 0.005] [--seed N] \
-         [--scenarios baseline,sybil,eclipse,poison] \
-         [--threads N] [--pretty] [--no-table] \
-         [--out BENCH_crawl.json] [--no-file]"
-    );
-    std::process::exit(2);
-}
-
 fn run_crawl_command(args: &[String]) {
-    let mut period = MeasurementPeriod::P4;
-    let mut scale: f64 = 0.005;
-    let mut seed = 1975u64;
-    let mut scenarios = {
-        let mut list = vec![ChurnScenario::Baseline];
-        list.extend(ChurnScenario::adversaries());
-        list
-    };
-    let mut threads: Option<usize> = None;
-    let mut pretty = false;
-    let mut table = true;
-    let mut out_path = String::from("BENCH_crawl.json");
-    let mut write_file = true;
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| crawl_usage())
-        };
-        match args[i].as_str() {
-            "--period" => {
-                period = MeasurementPeriod::from_label(take(i)).unwrap_or_else(|| {
-                    eprintln!("unknown period {:?} (expected P0..P4 or P14d)", args[i + 1]);
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--scale" => {
-                scale = take(i).parse().unwrap_or_else(|_| crawl_usage());
-                i += 2;
-            }
-            "--seed" => {
-                seed = take(i).parse().unwrap_or_else(|_| crawl_usage());
-                i += 2;
-            }
-            "--scenarios" => {
-                scenarios = parse_scenarios(take(i));
-                i += 2;
-            }
-            "--threads" => {
-                threads = Some(take(i).parse().unwrap_or_else(|_| crawl_usage()));
-                i += 2;
-            }
-            "--pretty" => {
-                pretty = true;
-                i += 1;
-            }
-            "--no-table" => {
-                table = false;
-                i += 1;
-            }
-            "--out" => {
-                out_path = take(i).to_string();
-                i += 2;
-            }
-            "--no-file" => {
-                write_file = false;
-                i += 1;
-            }
-            _ => crawl_usage(),
-        }
-    }
-    if scenarios.is_empty() || !scale.is_finite() || scale <= 0.0 {
-        crawl_usage();
-    }
-
-    let threads = threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    });
+    let (suite, out) = flags("crawl", cli::crawl_flags(args));
     eprintln!(
-        "# crawl: {} on {period} at scale {scale}, seed {seed}",
-        scenarios
-            .iter()
-            .map(|s| s.label())
-            .collect::<Vec<_>>()
-            .join(",")
+        "# crawl: {} on {} at scale {}, seed {}",
+        suite.labels(),
+        suite.period,
+        suite.scale,
+        suite.seed
     );
-    let started = std::time::Instant::now();
-    let campaigns = run_scenario_suite(period, scale, seed, &scenarios, threads);
+    let started = Instant::now();
+    let campaigns =
+        run_scenario_suite(suite.period, suite.scale, suite.seed, &suite.scenarios, suite.threads);
     let report = analysis::crawl_disagreement_report(&campaigns);
     let elapsed = started.elapsed();
     eprintln!("# crawl finished in {elapsed:.1?}");
-    if table {
-        eprintln!("\n{}", report.summary_table());
-    }
-    if write_file {
-        let mut full = jsonio::Json::object();
-        full.insert("elapsed_secs", elapsed.as_secs_f64());
-        full.insert("report", report.to_json());
-        let mut text = full.to_string_pretty();
-        text.push('\n');
-        if let Err(error) = std::fs::write(&out_path, text) {
-            eprintln!("failed to write {out_path}: {error}");
-            std::process::exit(1);
-        }
-        eprintln!("# full report (with timing) written to {out_path}");
-    }
+    let mut full = jsonio::Json::object();
+    full.insert("elapsed_secs", elapsed.as_secs_f64());
+    full.insert("report", report.to_json());
+    write_report(out.as_deref(), &full);
     // stdout carries only deterministic fields, so runs at different thread
     // counts can be compared byte-for-byte.
-    if pretty {
-        println!("{}", report.to_json_string_pretty());
-    } else {
-        println!("{}", report.to_json_string());
-    }
+    emit(&report.to_json(), suite.pretty, suite.table.then(|| report.summary_table()));
 }
 
 // ---- the `export` / `analyze` subcommands ----------------------------------
 
-fn export_usage() -> ! {
-    eprintln!(
-        "usage: repro export --dir DIR [--period P4] [--scale 0.005] [--seed N] \
-         [--scenarios baseline,diurnal,flashcrowd,massexit,pidflood,natchurn] \
-         [--threads N] [--pretty] [--no-table]"
-    );
-    std::process::exit(2);
-}
-
 fn run_export_command(args: &[String]) {
-    let mut dir: Option<String> = None;
-    let mut period = MeasurementPeriod::P4;
-    let mut scale: f64 = 0.005;
-    let mut seed = 1975u64;
-    let mut scenarios = ChurnScenario::all();
-    let mut threads: Option<usize> = None;
-    let mut pretty = false;
-    let mut table = true;
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| export_usage())
-        };
-        match args[i].as_str() {
-            "--dir" => {
-                dir = Some(take(i).to_string());
-                i += 2;
-            }
-            "--period" => {
-                period = MeasurementPeriod::from_label(take(i)).unwrap_or_else(|| {
-                    eprintln!("unknown period {:?} (expected P0..P4 or P14d)", args[i + 1]);
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--scale" => {
-                scale = take(i).parse().unwrap_or_else(|_| export_usage());
-                i += 2;
-            }
-            "--seed" => {
-                seed = take(i).parse().unwrap_or_else(|_| export_usage());
-                i += 2;
-            }
-            "--scenarios" => {
-                scenarios = parse_scenarios(take(i));
-                i += 2;
-            }
-            "--threads" => {
-                threads = Some(take(i).parse().unwrap_or_else(|_| export_usage()));
-                i += 2;
-            }
-            "--pretty" => {
-                pretty = true;
-                i += 1;
-            }
-            "--no-table" => {
-                table = false;
-                i += 1;
-            }
-            _ => export_usage(),
-        }
-    }
-    let dir = dir.unwrap_or_else(|| export_usage());
-    if scenarios.is_empty() || !scale.is_finite() || scale <= 0.0 {
-        export_usage();
-    }
-
-    let threads = threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    });
+    let (dir, suite) = flags("export", cli::export_flags(args));
     eprintln!(
-        "# export: {} on {period} at scale {scale}, seed {seed} -> {dir}/",
-        scenarios
-            .iter()
-            .map(|s| s.label())
-            .collect::<Vec<_>>()
-            .join(",")
+        "# export: {} on {} at scale {}, seed {} -> {dir}/",
+        suite.labels(),
+        suite.period,
+        suite.scale,
+        suite.seed
     );
-    let started = std::time::Instant::now();
-    let cells = measurement::export_suite(period, scale, seed, &scenarios, threads);
+    let started = Instant::now();
+    let cells = measurement::export_suite(
+        suite.period, suite.scale, suite.seed, &suite.scenarios, suite.threads,
+    );
     let mut campaigns = Vec::with_capacity(cells.len());
     let mut archives = Vec::with_capacity(cells.len());
     let mut sim_secs = 0.0;
@@ -1445,19 +755,14 @@ fn run_export_command(args: &[String]) {
     let direct_secs = started.elapsed().as_secs_f64();
 
     if let Err(error) = std::fs::create_dir_all(&dir) {
-        eprintln!("failed to create {dir}: {error}");
-        std::process::exit(1);
+        fail(format!("failed to create {dir}: {error}"));
     }
     let mut manifest_cells = jsonio::Json::array();
     let mut total_bytes = 0usize;
     let mut rows = Vec::new();
     for (index, (churn, archive, events)) in archives.iter().enumerate() {
         let file = format!("cell-{index:02}-{}.obsar", churn.label());
-        let path = format!("{dir}/{file}");
-        if let Err(error) = std::fs::write(&path, archive) {
-            eprintln!("failed to write {path}: {error}");
-            std::process::exit(1);
-        }
+        write_file(&format!("{dir}/{file}"), archive);
         total_bytes += archive.len();
         let mut cell = jsonio::Json::object();
         cell.insert("file", file.as_str());
@@ -1471,28 +776,19 @@ fn run_export_command(args: &[String]) {
             file,
             report::count(*events),
             format!("{}", archive.len()),
-            format!(
-                "{:.1}",
-                archive.len() as f64 / (*events).max(1) as f64
-            ),
+            format!("{:.1}", archive.len() as f64 / (*events).max(1) as f64),
         ]);
     }
     let mut manifest = jsonio::Json::object();
     manifest.insert("format_version", netsim::archive::FORMAT_VERSION as u64);
-    manifest.insert("period", period.label());
-    manifest.insert("scale", scale);
-    manifest.insert("seed", seed);
+    manifest.insert("period", suite.period.label());
+    manifest.insert("scale", suite.scale);
+    manifest.insert("seed", suite.seed);
     manifest.insert("cells", manifest_cells);
     manifest.insert("direct_secs", direct_secs);
     manifest.insert("sim_secs", sim_secs);
     manifest.insert("encode_secs", encode_secs);
-    let manifest_path = format!("{dir}/manifest.json");
-    let mut text = manifest.to_string_pretty();
-    text.push('\n');
-    if let Err(error) = std::fs::write(&manifest_path, text) {
-        eprintln!("failed to write {manifest_path}: {error}");
-        std::process::exit(1);
-    }
+    write_json(&format!("{dir}/manifest.json"), &manifest);
 
     eprintln!(
         "# export finished in {:.1?}: {} cells, {} bytes archived",
@@ -1500,112 +796,45 @@ fn run_export_command(args: &[String]) {
         archives.len(),
         total_bytes
     );
-    if table {
-        eprintln!(
-            "\n{}",
-            report::text_table(
-                &["Scenario", "File", "Events", "Bytes", "B/event"],
-                &rows
-            )
-        );
-        eprintln!("{}", report.summary_table());
-    }
+    let table = suite.table.then(|| {
+        let files = report::text_table(&["Scenario", "File", "Events", "Bytes", "B/event"], &rows);
+        format!("{files}\n{}", report.summary_table())
+    });
     // stdout is the robustness report of the direct (simulate + ingest) path —
     // byte-identical to `repro scenarios` with the same configuration, and the
     // reference `repro analyze` must reproduce from the archives alone.
-    if pretty {
-        println!("{}", report.to_json_string_pretty());
-    } else {
-        println!("{}", report.to_json_string());
-    }
-}
-
-fn analyze_usage() -> ! {
-    eprintln!(
-        "usage: repro analyze --dir DIR [--threads N] [--pretty] [--no-table] \
-         [--bench-out BENCH_archive.json] [--no-file]"
-    );
-    std::process::exit(2);
+    emit(&report.to_json(), suite.pretty, table);
 }
 
 /// Exits loudly when the manifest is missing a field — a malformed manifest
 /// must never silently degrade into a partial re-analysis.
 fn manifest_field<'a>(manifest: &'a jsonio::Json, key: &str) -> &'a jsonio::Json {
-    manifest.get(key).unwrap_or_else(|| {
-        eprintln!("manifest.json is missing the {key:?} field");
-        std::process::exit(1);
-    })
+    manifest
+        .get(key)
+        .unwrap_or_else(|| fail(format!("manifest.json is missing the {key:?} field")))
 }
 
 fn run_analyze_command(args: &[String]) {
-    let mut dir: Option<String> = None;
-    let mut threads: Option<usize> = None;
-    let mut pretty = false;
-    let mut table = true;
-    let mut bench_out = String::from("BENCH_archive.json");
-    let mut write_file = true;
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| analyze_usage())
-        };
-        match args[i].as_str() {
-            "--dir" => {
-                dir = Some(take(i).to_string());
-                i += 2;
-            }
-            "--threads" => {
-                threads = Some(take(i).parse().unwrap_or_else(|_| analyze_usage()));
-                i += 2;
-            }
-            "--pretty" => {
-                pretty = true;
-                i += 1;
-            }
-            "--no-table" => {
-                table = false;
-                i += 1;
-            }
-            "--bench-out" => {
-                bench_out = take(i).to_string();
-                i += 2;
-            }
-            "--no-file" => {
-                write_file = false;
-                i += 1;
-            }
-            _ => analyze_usage(),
-        }
-    }
-    let dir = dir.unwrap_or_else(|| analyze_usage());
-    let threads = threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    });
+    let analyze = flags("analyze", cli::analyze_flags(args));
+    let dir = &analyze.dir;
 
     let manifest_path = format!("{dir}/manifest.json");
-    let manifest_text = std::fs::read_to_string(&manifest_path).unwrap_or_else(|error| {
-        eprintln!("failed to read {manifest_path}: {error}");
-        std::process::exit(1);
-    });
-    let manifest = jsonio::Json::parse(&manifest_text).unwrap_or_else(|error| {
-        eprintln!("failed to parse {manifest_path}: {error}");
-        std::process::exit(1);
-    });
+    let manifest_text = std::fs::read_to_string(&manifest_path)
+        .unwrap_or_else(|error| fail(format!("failed to read {manifest_path}: {error}")));
+    let manifest = jsonio::Json::parse(&manifest_text)
+        .unwrap_or_else(|error| fail(format!("failed to parse {manifest_path}: {error}")));
     let format_version = manifest_field(&manifest, "format_version")
         .as_u64()
         .unwrap_or(0);
     if format_version != netsim::archive::FORMAT_VERSION as u64 {
-        eprintln!(
+        fail(format!(
             "manifest format version {format_version} is not the supported version {}",
             netsim::archive::FORMAT_VERSION
-        );
-        std::process::exit(1);
+        ));
     }
-    let manifest_cells = manifest_field(&manifest, "cells").as_array().unwrap_or_else(|| {
-        eprintln!("manifest.json \"cells\" is not an array");
-        std::process::exit(1);
-    });
+    let manifest_cells = manifest_field(&manifest, "cells")
+        .as_array()
+        .unwrap_or_else(|| fail("manifest.json \"cells\" is not an array"));
     let direct_secs = manifest_field(&manifest, "direct_secs").as_f64().unwrap_or(0.0);
     let sim_secs = manifest_field(&manifest, "sim_secs").as_f64().unwrap_or(0.0);
     let encode_secs = manifest_field(&manifest, "encode_secs").as_f64().unwrap_or(0.0);
@@ -1618,36 +847,31 @@ fn run_analyze_command(args: &[String]) {
         manifest_field(&manifest, "seed").as_u64().unwrap_or(0),
     );
 
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let mut archives = Vec::with_capacity(manifest_cells.len());
     for cell in manifest_cells {
-        let file = cell.get("file").and_then(jsonio::Json::as_str).unwrap_or_else(|| {
-            eprintln!("manifest cell is missing the \"file\" field");
-            std::process::exit(1);
-        });
+        let file = cell
+            .get("file")
+            .and_then(jsonio::Json::as_str)
+            .unwrap_or_else(|| fail("manifest cell is missing the \"file\" field"));
         let path = format!("{dir}/{file}");
-        let bytes = std::fs::read(&path).unwrap_or_else(|error| {
-            eprintln!("failed to read {path}: {error}");
-            std::process::exit(1);
-        });
+        let bytes = std::fs::read(&path)
+            .unwrap_or_else(|error| fail(format!("failed to read {path}: {error}")));
         if let Some(expected) = cell.get("checksum").and_then(jsonio::Json::as_u64) {
             let actual = netsim::archive::fnv1a(&bytes);
             if actual != expected {
-                eprintln!(
+                fail(format!(
                     "{path} does not match its manifest checksum \
                      (expected {expected:016x}, got {actual:016x})"
-                );
-                std::process::exit(1);
+                ));
             }
         }
         archives.push(bytes);
     }
     let read_secs = started.elapsed().as_secs_f64();
 
-    let cells = measurement::analyze_suite(&archives, threads).unwrap_or_else(|error| {
-        eprintln!("failed to decode archives: {error}");
-        std::process::exit(1);
-    });
+    let cells = measurement::analyze_suite(&archives, analyze.threads)
+        .unwrap_or_else(|error| fail(format!("failed to decode archives: {error}")));
     let mut campaigns = Vec::with_capacity(cells.len());
     let mut events = 0usize;
     let mut archive_bytes = 0usize;
@@ -1692,10 +916,7 @@ fn run_analyze_command(args: &[String]) {
         throughput(archive_bytes, encode_secs),
         throughput(archive_bytes, decode_secs)
     );
-    if table {
-        eprintln!("\n{}", report.summary_table());
-    }
-    if write_file {
+    if let Some(bench_out) = &analyze.out {
         let mut bench = jsonio::Json::object();
         bench.insert("cells", campaigns.len() as u64);
         bench.insert("events", events as u64);
@@ -1712,292 +933,88 @@ fn run_analyze_command(args: &[String]) {
         bench.insert("sim_secs", sim_secs);
         bench.insert("reanalyze_speedup", speedup);
         bench.insert("decode_speedup", decode_speedup);
-        let mut text = bench.to_string_pretty();
-        text.push('\n');
-        if let Err(error) = std::fs::write(&bench_out, text) {
-            eprintln!("failed to write {bench_out}: {error}");
-            std::process::exit(1);
-        }
+        write_json(bench_out, &bench);
         eprintln!("# archive bench (with timing) written to {bench_out}");
     }
     // stdout is the robustness report reconstructed from the archives alone —
     // byte-identical to the `repro export` / `repro scenarios` output for the
     // same configuration, with zero re-simulation.
-    if pretty {
-        println!("{}", report.to_json_string_pretty());
-    } else {
-        println!("{}", report.to_json_string());
-    }
+    emit(&report.to_json(), analyze.pretty, analyze.table.then(|| report.summary_table()));
 }
 
 // ---- the `vantage` subcommand ----------------------------------------------
 
-fn vantage_usage() -> ! {
-    eprintln!(
-        "usage: repro vantage [--period P4] [--scale 0.005] [--seed N] \
-         [--vantages 3] \
-         [--scenarios baseline,diurnal,flashcrowd,massexit,pidflood,natchurn] \
-         [--threads N] [--pretty] [--no-table]"
-    );
-    std::process::exit(2);
-}
-
 fn run_vantage_command(args: &[String]) {
-    let mut period = MeasurementPeriod::P4;
-    let mut scale: f64 = 0.005;
-    let mut seed = 1975u64;
-    let mut vantages = 3usize;
-    let mut scenarios = vec![ChurnScenario::Baseline];
-    let mut threads: Option<usize> = None;
-    let mut pretty = false;
-    let mut table = true;
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| vantage_usage())
-        };
-        match args[i].as_str() {
-            "--period" => {
-                period = MeasurementPeriod::from_label(take(i)).unwrap_or_else(|| {
-                    eprintln!("unknown period {:?} (expected P0..P4 or P14d)", args[i + 1]);
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--scale" => {
-                scale = take(i).parse().unwrap_or_else(|_| vantage_usage());
-                i += 2;
-            }
-            "--seed" => {
-                seed = take(i).parse().unwrap_or_else(|_| vantage_usage());
-                i += 2;
-            }
-            "--vantages" => {
-                vantages = take(i).parse().unwrap_or_else(|_| vantage_usage());
-                i += 2;
-            }
-            "--scenarios" => {
-                scenarios = parse_scenarios(take(i));
-                i += 2;
-            }
-            "--threads" => {
-                threads = Some(take(i).parse().unwrap_or_else(|_| vantage_usage()));
-                i += 2;
-            }
-            "--pretty" => {
-                pretty = true;
-                i += 1;
-            }
-            "--no-table" => {
-                table = false;
-                i += 1;
-            }
-            _ => vantage_usage(),
-        }
-    }
-    if scenarios.is_empty() || vantages == 0 || !scale.is_finite() || scale <= 0.0 {
-        vantage_usage();
-    }
-
-    let threads = threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    });
+    let (suite, vantages) = flags("vantage", cli::vantage_flags(args));
     eprintln!(
-        "# vantage: {vantages} vantage points on {period} at scale {scale}, seed {seed}, scenarios {}",
-        scenarios
-            .iter()
-            .map(|s| s.label())
-            .collect::<Vec<_>>()
-            .join(",")
+        "# vantage: {vantages} vantage points on {} at scale {}, seed {}, scenarios {}",
+        suite.period,
+        suite.scale,
+        suite.seed,
+        suite.labels()
     );
-    let started = std::time::Instant::now();
-    let campaigns = run_vantage_suite(period, scale, seed, vantages, &scenarios, threads);
+    let started = Instant::now();
+    let campaigns = run_vantage_suite(
+        suite.period, suite.scale, suite.seed, vantages, &suite.scenarios, suite.threads,
+    );
     let report = analysis::vantage_report(&campaigns);
     eprintln!("# vantage finished in {:.1?}", started.elapsed());
-    if table {
-        eprintln!("\n{}", report.summary_table());
-    }
-    if pretty {
-        println!("{}", report.to_json_string_pretty());
-    } else {
-        println!("{}", report.to_json_string());
-    }
+    emit(&report.to_json(), suite.pretty, suite.table.then(|| report.summary_table()));
 }
 
 // ---- the `scenarios` subcommand --------------------------------------------
 
-fn scenarios_usage() -> ! {
-    eprintln!(
-        "usage: repro scenarios [--period P4] [--scale 0.005] [--seed N] \
-         [--scenarios baseline,diurnal,flashcrowd,massexit,pidflood,natchurn] \
-         [--threads N] [--pretty] [--no-table]"
-    );
-    std::process::exit(2);
-}
-
 fn run_scenarios_command(args: &[String]) {
-    let mut period = MeasurementPeriod::P4;
-    let mut scale: f64 = 0.005;
-    let mut seed = 1975u64;
-    let mut scenarios = ChurnScenario::all();
-    let mut threads: Option<usize> = None;
-    let mut pretty = false;
-    let mut table = true;
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| scenarios_usage())
-        };
-        match args[i].as_str() {
-            "--period" => {
-                period = MeasurementPeriod::from_label(take(i)).unwrap_or_else(|| {
-                    eprintln!("unknown period {:?} (expected P0..P4 or P14d)", args[i + 1]);
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--scale" => {
-                scale = take(i).parse().unwrap_or_else(|_| scenarios_usage());
-                i += 2;
-            }
-            "--seed" => {
-                seed = take(i).parse().unwrap_or_else(|_| scenarios_usage());
-                i += 2;
-            }
-            "--scenarios" => {
-                scenarios = parse_scenarios(take(i));
-                i += 2;
-            }
-            "--threads" => {
-                threads = Some(take(i).parse().unwrap_or_else(|_| scenarios_usage()));
-                i += 2;
-            }
-            "--pretty" => {
-                pretty = true;
-                i += 1;
-            }
-            "--no-table" => {
-                table = false;
-                i += 1;
-            }
-            _ => scenarios_usage(),
-        }
-    }
-    if scenarios.is_empty() || !scale.is_finite() || scale <= 0.0 {
-        scenarios_usage();
-    }
-
-    let threads = threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    });
+    let suite = flags("scenarios", cli::scenarios_flags(args));
     eprintln!(
-        "# scenarios: {} on {period} at scale {scale}, seed {seed}",
-        scenarios
-            .iter()
-            .map(|s| s.label())
-            .collect::<Vec<_>>()
-            .join(",")
+        "# scenarios: {} on {} at scale {}, seed {}",
+        suite.labels(),
+        suite.period,
+        suite.scale,
+        suite.seed
     );
-    let started = std::time::Instant::now();
-    let campaigns = run_scenario_suite(period, scale, seed, &scenarios, threads);
+    let started = Instant::now();
+    let campaigns =
+        run_scenario_suite(suite.period, suite.scale, suite.seed, &suite.scenarios, suite.threads);
     let report = analysis::robustness_report(&campaigns);
     eprintln!("# scenarios finished in {:.1?}", started.elapsed());
-    if table {
-        eprintln!("\n{}", report.summary_table());
-    }
-    if pretty {
-        println!("{}", report.to_json_string_pretty());
-    } else {
-        println!("{}", report.to_json_string());
-    }
+    emit(&report.to_json(), suite.pretty, suite.table.then(|| report.summary_table()));
 }
 
 // ---- the `serve` subcommand ------------------------------------------------
 
-fn serve_usage() -> ! {
-    eprintln!(
-        "usage:\n\
-         repro serve --listen SOCK [--checkpoint FILE] [--checkpoint-every N] [--restore FILE]\n\
-         repro serve --drive SOCK [--period P2] [--scale 0.005] [--seed N] [--window-hours 6] \
-         [--scenarios baseline,...] [--batch-rows 512] [--resume] [--max-batches N] [--shutdown]\n\
-         repro serve --reference [--period P2] [--scale 0.005] [--seed N] [--window-hours 6] \
-         [--scenarios baseline,...]\n\
-         repro serve --bench [--tenants 1000] [--events 240] [--batch-rows 48] [--queries 1000] \
-         [--seed N] [--out BENCH_serve.json] [--no-file]"
-    );
-    std::process::exit(2);
-}
-
-struct ServeSimFlags {
-    period: MeasurementPeriod,
-    scale: f64,
-    seed: u64,
-    window_hours: u64,
-    scenarios: Vec<ChurnScenario>,
-}
-
-impl ServeSimFlags {
-    fn feeds(&self) -> Vec<bench::serve::ServeFeed> {
-        bench::serve::campaign_feeds(
-            self.period,
-            self.scale,
-            self.seed,
-            SimDuration::from_hours(self.window_hours),
-            &self.scenarios,
-        )
-    }
-}
-
 fn run_serve_command(args: &[String]) {
-    if args.iter().any(|a| a == "--listen") {
-        run_serve_daemon(args);
-    } else if args.iter().any(|a| a == "--drive") {
-        run_serve_drive(args);
-    } else if args.iter().any(|a| a == "--reference") {
-        run_serve_reference(args);
-    } else if args.iter().any(|a| a == "--bench") {
-        run_serve_bench_command(args);
-    } else {
-        serve_usage();
+    match flags("serve", cli::serve_flags(args)) {
+        ServeCommand::Listen { socket, checkpoint, checkpoint_every, restore } => {
+            run_serve_daemon(&socket, checkpoint, checkpoint_every, restore.as_deref());
+        }
+        ServeCommand::Drive { socket, sim, window, options } => {
+            run_serve_drive(&socket, &sim, window, &options);
+        }
+        ServeCommand::Reference { sim, window } => {
+            eprintln!(
+                "# serve --reference: {} at scale {}, seed {}",
+                sim.period, sim.scale, sim.seed
+            );
+            let feeds = serve_feeds(&sim, window);
+            eprintln!("# serve --reference: {} feed(s) built", feeds.len());
+            println!("{}", bench::serve::reference_answers(&feeds).to_string_pretty());
+        }
+        ServeCommand::Bench(cfg, out) => run_serve_bench_command(&cfg, out.as_deref()),
     }
 }
 
-fn run_serve_daemon(args: &[String]) {
+fn serve_feeds(sim: &SuiteFlags, window: SimDuration) -> Vec<bench::serve::ServeFeed> {
+    bench::serve::campaign_feeds(sim.period, sim.scale, sim.seed, window, &sim.scenarios)
+}
+
+fn run_serve_daemon(
+    listen: &str,
+    checkpoint: Option<String>,
+    checkpoint_every: Option<u64>,
+    restore: Option<&str>,
+) {
     use measurement::serve::{ServeOptions, ServeState};
-
-    let mut listen: Option<String> = None;
-    let mut checkpoint: Option<String> = None;
-    let mut checkpoint_every: Option<u64> = None;
-    let mut restore: Option<String> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| serve_usage())
-        };
-        match args[i].as_str() {
-            "--listen" => {
-                listen = Some(take(i).to_string());
-                i += 2;
-            }
-            "--checkpoint" => {
-                checkpoint = Some(take(i).to_string());
-                i += 2;
-            }
-            "--checkpoint-every" => {
-                checkpoint_every = Some(take(i).parse().unwrap_or_else(|_| serve_usage()));
-                i += 2;
-            }
-            "--restore" => {
-                restore = Some(take(i).to_string());
-                i += 2;
-            }
-            _ => serve_usage(),
-        }
-    }
-    let listen = listen.unwrap_or_else(|| serve_usage());
 
     let options = ServeOptions {
         checkpoint_path: checkpoint.map(std::path::PathBuf::from),
@@ -2005,15 +1022,10 @@ fn run_serve_daemon(args: &[String]) {
     };
     let state = match restore {
         Some(path) => {
-            let bytes = std::fs::read(&path).unwrap_or_else(|error| {
-                eprintln!("failed to read checkpoint {path}: {error}");
-                std::process::exit(1);
-            });
+            let bytes = std::fs::read(path)
+                .unwrap_or_else(|error| fail(format!("failed to read checkpoint {path}: {error}")));
             let state = ServeState::restore(&bytes, analysis::serve_answerer(), options)
-                .unwrap_or_else(|error| {
-                    eprintln!("failed to restore checkpoint {path}: {error}");
-                    std::process::exit(1);
-                });
+                .unwrap_or_else(|e| fail(format!("failed to restore checkpoint {path}: {e}")));
             eprintln!(
                 "# serve: restored {} tenant(s), {} event(s) from {path}",
                 state.tenant_count(),
@@ -2025,104 +1037,24 @@ fn run_serve_daemon(args: &[String]) {
     };
     eprintln!("# serve: listening on {listen}");
     let shared = std::sync::Arc::new(std::sync::Mutex::new(state));
-    if let Err(error) = measurement::serve_unix(std::path::Path::new(&listen), shared) {
-        eprintln!("serve failed: {error}");
-        std::process::exit(1);
+    if let Err(error) = measurement::serve_unix(std::path::Path::new(listen), shared) {
+        fail(format!("serve failed: {error}"));
     }
     eprintln!("# serve: shutdown complete");
 }
 
 #[cfg(unix)]
-fn run_serve_drive(args: &[String]) {
-    use bench::serve::{drive_feeds, DriveOptions};
-
-    let mut sock: Option<String> = None;
-    let mut sim = ServeSimFlags {
-        period: MeasurementPeriod::P2,
-        scale: 0.005,
-        seed: 1975,
-        window_hours: 6,
-        scenarios: vec![ChurnScenario::Baseline],
-    };
-    let mut options = DriveOptions {
-        batch_rows: 512,
-        resume: false,
-        max_batches: None,
-        shutdown: false,
-    };
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| serve_usage())
-        };
-        match args[i].as_str() {
-            "--drive" => {
-                sock = Some(take(i).to_string());
-                i += 2;
-            }
-            "--period" => {
-                sim.period =
-                    MeasurementPeriod::from_label(take(i)).unwrap_or_else(|| serve_usage());
-                i += 2;
-            }
-            "--scale" => {
-                sim.scale = take(i).parse().unwrap_or_else(|_| serve_usage());
-                i += 2;
-            }
-            "--seed" => {
-                sim.seed = take(i).parse().unwrap_or_else(|_| serve_usage());
-                i += 2;
-            }
-            "--window-hours" => {
-                sim.window_hours = take(i).parse().unwrap_or_else(|_| serve_usage());
-                i += 2;
-            }
-            "--scenarios" => {
-                sim.scenarios = parse_scenarios(take(i));
-                i += 2;
-            }
-            "--batch-rows" => {
-                options.batch_rows = take(i).parse().unwrap_or_else(|_| serve_usage());
-                i += 2;
-            }
-            "--max-batches" => {
-                options.max_batches = Some(take(i).parse().unwrap_or_else(|_| serve_usage()));
-                i += 2;
-            }
-            "--resume" => {
-                options.resume = true;
-                i += 1;
-            }
-            "--shutdown" => {
-                options.shutdown = true;
-                i += 1;
-            }
-            _ => serve_usage(),
-        }
-    }
-    let sock = sock.unwrap_or_else(|| serve_usage());
-    if sim.scenarios.is_empty() || sim.window_hours == 0 || options.batch_rows == 0 {
-        serve_usage();
-    }
-
+fn run_serve_drive(sock: &str, sim: &SuiteFlags, window: SimDuration, options: &DriveOptions) {
     eprintln!(
         "# serve --drive: {} on {} at scale {}, seed {}",
-        sock,
-        sim.period,
-        sim.scale,
-        sim.seed
+        sock, sim.period, sim.scale, sim.seed
     );
-    let feeds = sim.feeds();
+    let feeds = serve_feeds(sim, window);
     eprintln!("# serve --drive: {} feed(s) built, streaming", feeds.len());
-    let mut stream = std::os::unix::net::UnixStream::connect(&sock).unwrap_or_else(|error| {
-        eprintln!("failed to connect to {sock}: {error}");
-        std::process::exit(1);
-    });
-    let answers = drive_feeds(&mut stream, &feeds, &options).unwrap_or_else(|error| {
-        eprintln!("drive failed: {error}");
-        std::process::exit(1);
-    });
+    let mut stream = std::os::unix::net::UnixStream::connect(sock)
+        .unwrap_or_else(|error| fail(format!("failed to connect to {sock}: {error}")));
+    let answers = bench::serve::drive_feeds(&mut stream, &feeds, options)
+        .unwrap_or_else(|error| fail(format!("drive failed: {error}")));
     if options.max_batches.is_some() {
         eprintln!("# serve --drive: partial ingest done (no finish sent)");
     } else {
@@ -2131,134 +1063,20 @@ fn run_serve_drive(args: &[String]) {
 }
 
 #[cfg(not(unix))]
-fn run_serve_drive(_args: &[String]) {
-    eprintln!("serve --drive requires unix-domain sockets");
-    std::process::exit(1);
+fn run_serve_drive(_sock: &str, _sim: &SuiteFlags, _window: SimDuration, _options: &DriveOptions) {
+    fail("serve --drive requires unix-domain sockets");
 }
 
-fn run_serve_reference(args: &[String]) {
-    let mut sim = ServeSimFlags {
-        period: MeasurementPeriod::P2,
-        scale: 0.005,
-        seed: 1975,
-        window_hours: 6,
-        scenarios: vec![ChurnScenario::Baseline],
-    };
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| serve_usage())
-        };
-        match args[i].as_str() {
-            "--reference" => {
-                i += 1;
-            }
-            "--period" => {
-                sim.period =
-                    MeasurementPeriod::from_label(take(i)).unwrap_or_else(|| serve_usage());
-                i += 2;
-            }
-            "--scale" => {
-                sim.scale = take(i).parse().unwrap_or_else(|_| serve_usage());
-                i += 2;
-            }
-            "--seed" => {
-                sim.seed = take(i).parse().unwrap_or_else(|_| serve_usage());
-                i += 2;
-            }
-            "--window-hours" => {
-                sim.window_hours = take(i).parse().unwrap_or_else(|_| serve_usage());
-                i += 2;
-            }
-            "--scenarios" => {
-                sim.scenarios = parse_scenarios(take(i));
-                i += 2;
-            }
-            _ => serve_usage(),
-        }
-    }
-    if sim.scenarios.is_empty() || sim.window_hours == 0 {
-        serve_usage();
-    }
-
-    eprintln!(
-        "# serve --reference: {} at scale {}, seed {}",
-        sim.period, sim.scale, sim.seed
-    );
-    let feeds = sim.feeds();
-    eprintln!("# serve --reference: {} feed(s) built", feeds.len());
-    println!("{}", bench::serve::reference_answers(&feeds).to_string_pretty());
-}
-
-fn run_serve_bench_command(args: &[String]) {
-    use bench::serve::{run_serve_bench, ServeBenchConfig};
-
-    let mut cfg = ServeBenchConfig::default();
-    let mut out_path = String::from("BENCH_serve.json");
-    let mut write_file = true;
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| serve_usage())
-        };
-        match args[i].as_str() {
-            "--bench" => {
-                i += 1;
-            }
-            "--tenants" => {
-                cfg.tenants = take(i).parse().unwrap_or_else(|_| serve_usage());
-                i += 2;
-            }
-            "--events" => {
-                cfg.events_per_tenant = take(i).parse().unwrap_or_else(|_| serve_usage());
-                i += 2;
-            }
-            "--batch-rows" => {
-                cfg.batch_rows = take(i).parse().unwrap_or_else(|_| serve_usage());
-                i += 2;
-            }
-            "--queries" => {
-                cfg.queries = take(i).parse().unwrap_or_else(|_| serve_usage());
-                i += 2;
-            }
-            "--seed" => {
-                cfg.seed = take(i).parse().unwrap_or_else(|_| serve_usage());
-                i += 2;
-            }
-            "--out" => {
-                out_path = take(i).to_string();
-                i += 2;
-            }
-            "--no-file" => {
-                write_file = false;
-                i += 1;
-            }
-            _ => serve_usage(),
-        }
-    }
-    if cfg.tenants == 0 || cfg.events_per_tenant == 0 || cfg.batch_rows == 0 {
-        serve_usage();
-    }
-
+fn run_serve_bench_command(cfg: &bench::serve::ServeBenchConfig, out: Option<&str>) {
     eprintln!(
         "# serve --bench: {} tenants x {} events, {}-row batches, {} queries",
         cfg.tenants, cfg.events_per_tenant, cfg.batch_rows, cfg.queries
     );
-    let report = run_serve_bench(&cfg, |round, rounds| {
+    let report = bench::serve::run_serve_bench(cfg, |round, rounds| {
         eprintln!("# serve --bench: ingest round {round}/{rounds}");
     });
     eprintln!("# {}", report.summary());
-    if write_file {
-        let mut text = report.full_json().to_string_pretty();
-        text.push('\n');
-        if let Err(error) = std::fs::write(&out_path, text) {
-            eprintln!("failed to write {out_path}: {error}");
-            std::process::exit(1);
-        }
-        eprintln!("# full report (with timing) written to {out_path}");
-    }
+    write_report(out, &report.full_json());
     // stdout carries only the deterministic fields, so runs at different
     // thread counts can be compared byte-for-byte.
     println!("{}", report.deterministic_json().to_string_pretty());

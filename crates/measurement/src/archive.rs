@@ -16,7 +16,7 @@
 //!   resulting reports are byte-identical to the simulate-and-analyse path —
 //!   `tests/archive_differential.rs` pins this — with zero re-simulation:
 //!   re-analysis pays for monitor ingestion and crawler replay only.
-//! * [`export_suite`] and [`read_suite`] are the `repro export` /
+//! * [`export_suite`] and [`analyze_suite`] are the `repro export` /
 //!   `repro analyze` entry points: one archive per churn regime of a
 //!   scenario suite, cells processed in parallel, deterministic order at any
 //!   thread count.
@@ -249,20 +249,6 @@ pub fn analyze_suite(
             resident_bytes,
             decode_secs,
         })
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Reads a suite of archives back into campaigns, in input order, cells
-/// processed in parallel — the `repro analyze` path. Every cell is decoded
-/// and ingested without any simulation.
-pub fn read_suite(
-    archives: &[Vec<u8>],
-    threads: usize,
-) -> Result<Vec<MeasurementCampaign>, ArchiveError> {
-    run_parallel_ordered(archives, threads, |_, bytes| {
-        read_campaign_archive(bytes).map(ArchivedCampaign::into_campaign)
     })
     .into_iter()
     .collect()

@@ -56,7 +56,7 @@ pub mod sweep;
 pub mod vantage;
 
 pub use archive::{
-    analyze_suite, export_suite, read_campaign_archive, read_suite, write_campaign_archive,
+    analyze_suite, export_suite, read_campaign_archive, write_campaign_archive,
     AnalyzedCell, ArchivedCampaign, CampaignMeta, ExportedCell,
 };
 pub use crawler::{ActiveCrawler, CrawlSnapshot, CrawlSummary};

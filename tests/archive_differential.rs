@@ -15,7 +15,7 @@
 //! panicking, and unknown format versions are rejected up front.
 
 use ipfs_passive_measurement::prelude::*;
-use measurement::{analyze_suite, export_suite, read_campaign_archive, read_suite, ExportedCell};
+use measurement::{analyze_suite, export_suite, read_campaign_archive, ExportedCell};
 use netsim::ArchiveError;
 use std::sync::OnceLock;
 
@@ -48,6 +48,14 @@ fn sample_cell() -> &'static ExportedCell {
     })
 }
 
+/// Re-analyses archives through `analyze_suite`, the path `repro analyze`
+/// runs, keeping only the reconstructed campaigns.
+fn reanalyze(archives: &[Vec<u8>], threads: usize) -> Vec<MeasurementCampaign> {
+    analyze_suite(archives, threads)
+        .map(|cells| cells.into_iter().map(|cell| cell.campaign).collect())
+        .expect("archives must decode")
+}
+
 #[test]
 fn export_then_analyze_reproduces_the_direct_report_byte_for_byte() {
     let scenarios = [ChurnScenario::Baseline, ChurnScenario::diurnal()];
@@ -62,7 +70,7 @@ fn export_then_analyze_reproduces_the_direct_report_byte_for_byte() {
         }
         let direct_report = robustness_report(&direct);
 
-        let replayed = read_suite(&archives, 2).expect("archives must decode");
+        let replayed = reanalyze(&archives, 2);
         let replayed_report = robustness_report(&replayed);
         assert_eq!(
             replayed_report.to_json_string(),
@@ -86,8 +94,8 @@ fn archives_and_reanalysis_are_thread_count_independent() {
     }
 
     let archives: Vec<Vec<u8>> = one.into_iter().map(|cell| cell.archive).collect();
-    let serial = read_suite(&archives, 1).expect("archives must decode");
-    let parallel = read_suite(&archives, 8).expect("archives must decode");
+    let serial = reanalyze(&archives, 1);
+    let parallel = reanalyze(&archives, 8);
     assert_eq!(
         robustness_report(&serial).to_json_string(),
         robustness_report(&parallel).to_json_string(),
